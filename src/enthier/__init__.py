@@ -9,11 +9,13 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     DimensionTooLargeForMinors,
+    DimensionTooLargeForNewton,
     DuplicateEntry,
     EnthierError,
     IndexOutOfRange,
     InvalidDensity,
     NegativeCoefficient,
+    NonFiniteInput,
     NonHermitianInput,
     NonPositiveOrder,
     NonPositiveSpectrum,
@@ -27,12 +29,9 @@ from .errors import (
 )
 from .linalg import (
     bisect_root,
-    determinant,
     elementary_symmetric,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     minor_sum,
-    principal_minor_sum,
     random_unitary,
     seeded_rng,
     singular_values_squared,

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: measure, locc, wootters, scan, paper-examples, schmidt,
-emit-state. Exit codes: 0 success, 1 domain error, 2 parse/usage error,
-3 self-check failure.
+emit-state. Exit codes: 0 success, 1 domain error or stdout closed by
+its reader, 2 parse/usage error, 3 self-check failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +71,8 @@ def _renyi_orders(raw: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad order list {raw!r}") from exc
     if not orders:
         raise argparse.ArgumentTypeError("need at least one order")
+    if any(math.isnan(order) for order in orders):
+        raise argparse.ArgumentTypeError(f"order list {raw!r} contains NaN")
     return orders
 
 
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--renyi",
         type=_renyi_orders,
         default=[0.5, 1.0, 2.0],
-        help="comma-separated Renyi orders (default 0.5,1,2)",
+        help="comma-separated positive Renyi orders, inf for the min-entropy (default 0.5,1,2)",
     )
     add_renormalize(measure)
     add_json(measure)
@@ -283,9 +287,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(output, ReportDocument):
-        print(output.to_json() if getattr(args, "json", False) else output.render())
-    else:
+        output = output.to_json() if getattr(args, "json", False) else output.render()
+    try:
         print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`). Point the descriptor
+        # at devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return exit_code
 
 

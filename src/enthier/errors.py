@@ -5,6 +5,10 @@ class EnthierError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NonFiniteInput(EnthierError, ValueError):
+    """A matrix or amplitude array contains NaN or an infinity."""
+
+
 class NonSquareMatrix(EnthierError):
     """A square matrix was required."""
 
@@ -27,6 +31,10 @@ class DegreeOutOfRange(EnthierError):
 
 class DimensionTooLargeForMinors(EnthierError):
     """Minor enumeration is guarded against combinatorial blowup."""
+
+
+class DimensionTooLargeForNewton(EnthierError):
+    """Newton's identities lose relative accuracy on the top levels at high dimension."""
 
 
 class NoSignChange(EnthierError):

@@ -52,7 +52,7 @@ class ReportDocument:
 
     def to_json(self) -> str:
         payload = {"command": self.command, "results": self.results, "provenance": self.provenance}
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def render(self) -> str:
         lines = [f"enthier {self.command}"]

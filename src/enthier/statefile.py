@@ -9,6 +9,7 @@ coefficients placed on the diagonal). A density document carries
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,20 @@ def _load_document(path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            shown = literal if len(literal) <= 40 else literal[:37] + "..."
+            raise ParseError(f"{path}: number {shown} is not finite in double precision")
+        return value
+
+    def integer(literal: str) -> int:
+        finite(literal)
+        return int(literal)
+
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_float=finite, parse_int=integer, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(document, dict):

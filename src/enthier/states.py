@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ from .errors import (
     DuplicateEntry,
     IndexOutOfRange,
     NegativeCoefficient,
+    NonFiniteInput,
     NotNormalized,
     ZeroState,
 )
@@ -23,6 +25,20 @@ RANK_TOL = 1e-10
 # Below this deviation, dividing by the norm is pure rounding noise and
 # would break bit-exact round trips through state files.
 _RENORM_SKIP_TOL = 1e-12
+
+
+def _scaled_norm(values: np.ndarray) -> tuple[float, float]:
+    """(scale, norm of values / scale), scale the power of two just above max |entry|.
+
+    The scaled squares cannot overflow or all underflow, and power-of-two
+    scaling is exact: dividing by scale, then by the scaled norm, gives the
+    bits of dividing by the plain norm whenever that norm is representable.
+    """
+    peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
+    if peak == 0.0:
+        return 1.0, 0.0
+    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    return scale, float(np.linalg.norm(values / scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +58,7 @@ class PureState:
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch(f"amplitude matrix must be 2-D, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes contain non-finite entries")
+            raise NonFiniteInput("amplitudes contain non-finite entries")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > NORM_INVARIANT_TOL:
             raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1 beyond 1e-9")
@@ -84,13 +100,14 @@ def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) 
             raise DuplicateEntry(f"amplitude ({i}, {j}) supplied twice")
         seen.add((i, j))
         a[i, j] = value
-    norm = float(np.linalg.norm(a))
+    scale, scaled_norm = _scaled_norm(a)
+    norm = scale * scaled_norm
     if norm == 0.0:
         raise ZeroState("all amplitudes are zero")
     if not renormalize and abs(norm - 1.0) > NORM_GATE:
         raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
     if abs(norm - 1.0) > _RENORM_SKIP_TOL:
-        a = a / norm
+        a = a / scale / scaled_norm
     return PureState(a)
 
 
@@ -101,13 +118,14 @@ def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
         raise DimensionMismatch("coefficients must be a non-empty 1-D sequence")
     if np.any(c < 0.0):
         raise NegativeCoefficient(f"coefficient {c.min()!r} is negative")
-    norm = float(np.linalg.norm(c))
+    scale, scaled_norm = _scaled_norm(c)
+    norm = scale * scaled_norm
     if norm == 0.0:
         raise ZeroState("all coefficients are zero")
     if not renormalize and abs(norm - 1.0) > NORM_GATE:
         raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
     if abs(norm - 1.0) > _RENORM_SKIP_TOL:
-        c = c / norm
+        c = c / scale / scaled_norm
     a = np.zeros((c.size, c.size), dtype=complex)
     np.fill_diagonal(a, c.astype(complex))
     return PureState(a)

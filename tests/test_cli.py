@@ -1,13 +1,19 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enthier
 from enthier.cli import main
-from enthier.states import density_matrix, from_amplitudes
+from enthier.linalg import seeded_rng
+from enthier.measures import NEWTON_DIM_LIMIT
+from enthier.statefile import write_state
+from enthier.states import density_matrix, from_amplitudes, random_pure
 
 MIXED_SOURCE_DOC = {"dims": [3, 3], "schmidt": [math.sqrt(0.5), math.sqrt(0.4), math.sqrt(0.1)]}
 MIXED_TARGET_DOC = {"dims": [3, 3], "schmidt": [math.sqrt(0.6), math.sqrt(0.2), math.sqrt(0.2)]}
@@ -36,6 +42,14 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
     return code, payload
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def uniform_schmidt_doc(d):
+    return {"dims": [d, d], "schmidt": [1.0 / math.sqrt(d)] * d}
 
 
 # ----------------------------------------------------------------- measure
@@ -81,6 +95,18 @@ def test_measure_minors_guard_is_domain_error(tmp_path, capsys):
     assert main(["measure", path, "--path", "eig"]) == 0
 
 
+def test_measure_newton_guard_is_domain_error(tmp_path, capsys):
+    at_limit = write_json(tmp_path, "at.json", uniform_schmidt_doc(NEWTON_DIM_LIMIT))
+    code, payload = run_json(capsys, ["measure", at_limit, "--path", "newton"])
+    assert code == 0
+    assert len(payload["results"]["hierarchy"]) == NEWTON_DIM_LIMIT
+    above = write_json(tmp_path, "above.json", uniform_schmidt_doc(NEWTON_DIM_LIMIT + 1))
+    assert main(["measure", above, "--path", "newton"]) == 1
+    err = capsys.readouterr().err
+    assert "newton" in err and str(NEWTON_DIM_LIMIT) in err
+    assert main(["measure", above, "--path", "eig"]) == 0
+
+
 def test_measure_renyi_orders_flag(tmp_path, capsys):
     path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
     code, payload = run_json(capsys, ["measure", path, "--renyi", "1,3"])
@@ -88,10 +114,56 @@ def test_measure_renyi_orders_flag(tmp_path, capsys):
     assert set(payload["results"]["renyi"]) == {"1.0", "3.0"}
 
 
+def test_measure_renyi_nan_order_is_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    assert main(["measure", path, "--renyi", "nan,inf", "--json"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_measure_renyi_infinite_and_large_orders_are_strict_json(tmp_path, capsys):
+    path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    assert main(["measure", path, "--renyi", "inf,1e6", "--json"]) == 0
+    renyi = json.loads(capsys.readouterr().out, parse_constant=reject_constant)["results"]["renyi"]
+    assert renyi["inf"] == 1.0  # min-entropy -log2 0.5
+    assert abs(renyi["1000000.0"] - 1e6 / (1e6 - 1.0)) <= 1e-12
+
+
 def test_measure_not_normalized_exit_codes(tmp_path, capsys):
     path = write_json(tmp_path, "off.json", {"dims": [2, 2], "schmidt": [0.5, 0.5]})
     assert main(["measure", path]) == 1
     assert main(["measure", path, "--renormalize"]) == 0
+
+
+def test_measure_nan_amplitude_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dims": [1, 1], "amplitudes": [{"i": 0, "j": 0, "re": NaN}]}')
+    assert main(["measure", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "NaN" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["exponent", "integer"])
+def test_measure_overflowing_schmidt_literal_is_parse_error(tmp_path, capsys, literal):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [2, 2], "schmidt": [%s, 0.5]}' % literal)
+    assert main(["measure", str(path), "--renormalize"]) == 2
+    err = capsys.readouterr().err
+    assert literal[:30] in err and len(err.strip().splitlines()) == 1
+
+
+def test_measure_renormalizes_huge_schmidt_coefficients(tmp_path, capsys):
+    path = write_json(tmp_path, "huge.json", {"dims": [2, 2], "schmidt": [1e200, 1e200]})
+    code, payload = run_json(capsys, ["measure", path, "--renormalize"])
+    assert code == 0
+    assert np.allclose(payload["results"]["schmidt_spectrum"], [0.5, 0.5], atol=1e-12)
+
+
+def test_measure_renormalizes_huge_amplitudes(tmp_path, capsys):
+    entries = [{"i": 0, "j": 0, "re": 1e200, "im": 0.0}, {"i": 1, "j": 1, "re": 0.0, "im": 1e200}]
+    path = write_json(tmp_path, "huge.json", {"dims": [2, 2], "amplitudes": entries})
+    code, payload = run_json(capsys, ["measure", path, "--renormalize"])
+    assert code == 0
+    assert np.allclose(payload["results"]["schmidt_spectrum"], [0.5, 0.5], atol=1e-12)
 
 
 def test_measure_missing_file_is_parse_error(capsys):
@@ -307,3 +379,22 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["command"] == "paper-examples"
+
+
+def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
+    path = tmp_path / "big.json"
+    write_state(random_pure(40, 40, seeded_rng(5)), path)  # ~180 kB, beyond a pipe buffer
+    src = str(Path(enthier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "enthier", "emit-state", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from enthier import linalg
 from enthier.errors import (
     DegreeOutOfRange,
     DimensionTooLargeForMinors,
@@ -13,12 +14,9 @@ from enthier.errors import (
 )
 from enthier.linalg import (
     bisect_root,
-    determinant,
     elementary_symmetric,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     minor_sum,
-    principal_minor_sum,
     random_unitary,
     seeded_rng,
     singular_values_squared,
@@ -43,6 +41,15 @@ def cofactor_determinant(m):
 def enumerated_elementary_symmetric(values, k):
     """Independent e_k oracle: explicit sum over all k-subsets."""
     return sum(math.prod(combo) for combo in itertools.combinations(values, k))
+
+
+def loop_elementary_symmetric(values, k):
+    """The scalar form of the e_k recurrence, one level update at a time."""
+    e = [1.0] + [0.0] * k
+    for value in values:
+        for j in range(k, 0, -1):
+            e[j] += value * e[j - 1]
+    return e[k]
 
 
 def random_hermitian(dim, rng):
@@ -91,16 +98,6 @@ def test_eigenvalues_match_lapack():
         assert np.allclose(mine, ref, atol=1e-11)
 
 
-def test_eigensystem_reconstructs_input():
-    rng = seeded_rng(103)
-    for _ in range(50):
-        dim = int(rng.integers(1, 7))
-        h = random_hermitian(dim, rng)
-        vals, vecs = hermitian_eigensystem(h)
-        assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h) <= 1e-10
-        assert np.linalg.norm(vecs @ vecs.conj().T - np.eye(dim)) <= 1e-10
-
-
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianInput):
         hermitian_eigenvalues(np.array([[1.0, 1e-6], [0.0, 1.0]]))
@@ -137,48 +134,6 @@ def test_singular_values_nonnegative():
         assert np.all(singular_values_squared(m) >= 0.0)
 
 
-# ------------------------------------------------------------ determinant
-
-
-def test_determinant_scalar_exact():
-    assert determinant(np.array([[2.5 + 1j]])) == 2.5 + 1j
-
-
-def test_determinant_two_by_two_closed_form():
-    rng = seeded_rng(106)
-    m = random_complex(2, 2, rng)
-    expected = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    assert abs(determinant(m) - expected) <= 1e-12
-
-
-def test_determinant_against_cofactor_oracle():
-    rng = seeded_rng(107)
-    for _ in range(25):
-        m = random_complex(4, 4, rng)
-        assert abs(determinant(m) - cofactor_determinant(m)) <= 1e-10
-
-
-def test_determinant_multiplicative():
-    rng = seeded_rng(108)
-    for _ in range(50):
-        dim = int(rng.integers(1, 7))
-        a = random_complex(dim, dim, rng) / math.sqrt(dim)
-        b = random_complex(dim, dim, rng) / math.sqrt(dim)
-        lhs = determinant(a @ b)
-        rhs = determinant(a) * determinant(b)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-
-
-def test_determinant_singular_matrix():
-    m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    assert determinant(m) == 0
-
-
-def test_determinant_requires_square():
-    with pytest.raises(NonSquareMatrix):
-        determinant(np.zeros((2, 3)))
-
-
 # ------------------------------------------------- elementary symmetric
 
 
@@ -210,6 +165,15 @@ def test_elementary_symmetric_against_enumeration():
             assert abs(elementary_symmetric(values, k) - expected) <= 1e-12
 
 
+def test_elementary_symmetric_bit_identical_to_scalar_recurrence():
+    rng = seeded_rng(114)
+    for n in (2, 3, 8, 12, 48):
+        for _ in range(5):
+            values = rng.dirichlet(np.ones(n))
+            for k in range(n + 1):
+                assert elementary_symmetric(values, k) == loop_elementary_symmetric(values, k)
+
+
 # -------------------------------------------------------------- minor sums
 
 
@@ -235,15 +199,22 @@ def test_cauchy_binet_identity():
             assert abs(minor_sum(m, k) - elementary_symmetric(squares, k)) <= 1e-9
 
 
-def test_principal_minor_sum_matches_eigenvalue_polynomials():
+def test_minor_sum_of_square_matrix_is_squared_determinant():
+    rng = seeded_rng(107)
+    for _ in range(25):
+        dim = int(rng.integers(1, 7))
+        m = random_complex(dim, dim, rng) / math.sqrt(dim)
+        expected = abs(cofactor_determinant(m)) ** 2
+        assert abs(minor_sum(m, dim) - expected) <= 1e-10 * max(1.0, expected)
+
+
+def test_minor_sum_independent_of_chunk_size(monkeypatch):
     rng = seeded_rng(112)
-    for _ in range(20):
-        dim = int(rng.integers(1, 6))
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = z @ z.conj().T / dim
-        vals = hermitian_eigenvalues(h)
-        for k in range(1, dim + 1):
-            assert abs(principal_minor_sum(h, k) - elementary_symmetric(vals, k)) <= 1e-9
+    m = random_complex(5, 6, rng) / math.sqrt(30)
+    whole = [minor_sum(m, k) for k in range(1, 6)]
+    monkeypatch.setattr(linalg, "_MINOR_CHUNK", 7)
+    chunked = [minor_sum(m, k) for k in range(1, 6)]
+    assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
 
 
 def test_minor_sum_guards():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enthier import measures, states
 from enthier.errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
@@ -152,6 +153,26 @@ def test_triple_path_agreement():
         assert np.allclose(minors, newton, atol=1e-8)
 
 
+def test_minor_and_newton_routes_call_no_eigensolver(monkeypatch):
+    rng = seeded_rng(310)
+    cases = []
+    for _ in range(20):
+        state = random_pure(int(rng.integers(1, 8)), int(rng.integers(1, 8)), rng)
+        cases.append((state.amplitudes, hierarchy(state)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(states, "schmidt_spectrum", refuse)
+    monkeypatch.setattr(measures, "schmidt_spectrum", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for amplitudes, eig in cases:
+        fresh = states.PureState(amplitudes)  # no cached spectrum
+        assert np.allclose(hierarchy_via_minors(fresh), eig, atol=1e-8)
+        assert np.allclose(hierarchy_via_invariants(fresh), eig, atol=1e-8)
+
+
 def test_zero_pattern_beyond_schmidt_rank():
     rng = seeded_rng(307)
     for _ in range(30):
@@ -210,11 +231,19 @@ def test_renyi_continuous_at_order_one():
     assert abs(renyi_entropy(state, 1 - 1e-6) - at_one) <= 1e-4
 
 
+def test_renyi_infinite_order_is_min_entropy():
+    state = diagonal_state([0.5, 0.4, 0.1])
+    assert renyi_entropy(state, math.inf) == 1.0
+    assert abs(renyi_entropy(state, 1e6) - 1.0) <= 1e-5
+
+
 def test_renyi_rejects_bad_order():
     with pytest.raises(NonPositiveOrder):
         renyi_entropy(bell_state(), 0)
     with pytest.raises(NonPositiveOrder):
         renyi_entropy(bell_state(), -1)
+    with pytest.raises(NonPositiveOrder):
+        renyi_entropy(bell_state(), math.nan)
 
 
 def test_eof_pure_bell_is_one_bit():

@@ -8,6 +8,7 @@ from enthier.errors import (
     DuplicateEntry,
     IndexOutOfRange,
     NegativeCoefficient,
+    NonFiniteInput,
     NonUnitaryInput,
     NotNormalized,
     ZeroState,
@@ -96,6 +97,8 @@ def test_from_schmidt_rejections():
 def test_pure_state_invariant_enforced():
     with pytest.raises(NotNormalized):
         PureState(np.ones((2, 2), dtype=complex))
+    with pytest.raises(NonFiniteInput):
+        PureState(np.array([[np.nan]]))
 
 
 def test_spectrum_round_trip_on_sorted_squares():
