@@ -16,7 +16,6 @@ from .errors import (
     InvalidDensity,
     NegativeCoefficient,
     NonFiniteInput,
-    NonHermitianInput,
     NonPositiveOrder,
     NonPositiveSpectrum,
     NonSquareMatrix,
@@ -30,7 +29,6 @@ from .errors import (
 from .linalg import (
     bisect_root,
     elementary_symmetric,
-    hermitian_eigenvalues,
     minor_sum,
     random_unitary,
     seeded_rng,
@@ -42,7 +40,6 @@ from .locc import (
     Verdict,
     conversion_class,
     hierarchy_dominance,
-    majorizes,
     nielsen_verdict,
     t_transform_source,
 )

@@ -13,10 +13,6 @@ class NonSquareMatrix(EnthierError):
     """A square matrix was required."""
 
 
-class NonHermitianInput(EnthierError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NonUnitaryInput(EnthierError):
     """Matrix fails the U U^dag = I check beyond tolerance."""
 
@@ -26,7 +22,7 @@ class NonPositiveSpectrum(EnthierError):
 
 
 class DegreeOutOfRange(EnthierError):
-    """Polynomial degree or minor cardinality outside the valid range."""
+    """Minor cardinality outside the valid range."""
 
 
 class DimensionTooLargeForMinors(EnthierError):

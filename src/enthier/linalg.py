@@ -3,10 +3,10 @@
 The three concurrence-hierarchy routes in ``measures`` each rest on a
 different kernel, so a fault in one shows up as a disagreement between
 routes rather than cancelling out: the spectral route on the Hermitian
-eigensolver (``hermitian_eigenvalues``, LAPACK heevd), the minor route on
-LU determinants of stacked submatrices (``minor_sum``, LAPACK getrf), and
-the Newton route on matrix products and traces (BLAS). Only the e_k
-recurrence and the minor enumeration are written out here.
+eigensolver (``singular_values_squared``, LAPACK heevd via ``eigvalsh``),
+the minor route on LU determinants of stacked submatrices (``minor_sum``,
+LAPACK getrf), and the Newton route on matrix products and traces (BLAS).
+Only the e_k recurrence and the minor enumeration are written out here.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from .errors import (
     DegreeOutOfRange,
     DimensionTooLargeForMinors,
     NonFiniteInput,
-    NonHermitianInput,
     NonPositiveSpectrum,
     NonSquareMatrix,
     NonUnitaryInput,
     NoSignChange,
 )
 
-HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10
 MINOR_DIM_LIMIT = 12
@@ -58,16 +56,6 @@ def as_complex_matrix(matrix) -> np.ndarray:
     return a
 
 
-def require_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = as_complex_matrix(matrix)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareMatrix(f"Hermitian input must be square, got {a.shape}")
-    residual = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if residual > tol:
-        raise NonHermitianInput(f"symmetry residual {residual:.3e} exceeds {tol:.0e}")
-    return a
-
-
 def require_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
     a = as_complex_matrix(matrix)
     if a.shape[0] != a.shape[1]:
@@ -87,11 +75,6 @@ def clamp_nonnegative(values, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     return v
 
 
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, sorted descending (LAPACK heevd)."""
-    return np.linalg.eigvalsh(require_hermitian(matrix))[::-1]
-
-
 def singular_values_squared(matrix) -> np.ndarray:
     """Squared singular values, descending, clamped to be nonnegative.
 
@@ -102,26 +85,24 @@ def singular_values_squared(matrix) -> np.ndarray:
     rows, cols = a.shape
     gram = a @ a.conj().T if rows <= cols else a.conj().T @ a
     gram = 0.5 * (gram + gram.conj().T)
-    return clamp_nonnegative(hermitian_eigenvalues(gram))
+    # Hermitian by construction; only the product can overflow to non-finite.
+    return clamp_nonnegative(np.linalg.eigvalsh(as_complex_matrix(gram))[::-1])
 
 
-def elementary_symmetric(values, k: int) -> float:
-    """Degree-k elementary symmetric polynomial of the given reals.
+def elementary_symmetric(values) -> np.ndarray:
+    """Elementary symmetric polynomials e_1..e_n of the given n reals.
 
-    Evaluated by the stable one-value-at-a-time recurrence
-    e_j <- e_j + v * e_{j-1}, with e_0 = 1.
+    One pass of the stable one-value-at-a-time recurrence
+    e_j <- e_j + v * e_{j-1}, with e_0 = 1, updates every level at once.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be a 1-D sequence")
-    n = v.size
-    if not 0 <= k <= n:
-        raise DegreeOutOfRange(f"degree {k} outside [0, {n}]")
-    e = np.zeros(k + 1)
+    e = np.zeros(v.size + 1)
     e[0] = 1.0
     for value in v:
         e[1:] += value * e[:-1]  # the right side is formed before e changes
-    return float(e[k])
+    return e[1:]
 
 
 def minor_sum(matrix, k: int) -> float:
@@ -192,16 +173,13 @@ def bisect_root(
 
 
 __all__ = [
-    "HERMITIAN_TOL",
     "UNITARY_TOL",
     "PSD_CLAMP_TOL",
     "MINOR_DIM_LIMIT",
     "seeded_rng",
     "as_complex_matrix",
-    "require_hermitian",
     "require_unitary",
     "clamp_nonnegative",
-    "hermitian_eigenvalues",
     "singular_values_squared",
     "elementary_symmetric",
     "minor_sum",

@@ -67,13 +67,6 @@ def _prefix_dominated(px: np.ndarray, py: np.ndarray) -> bool:
     return bool(np.all(px <= py + PREFIX_TOL))
 
 
-def majorizes(x, y) -> bool:
-    """Whether x is majorized by y (every descending prefix sum of x is
-    bounded by y's, with equal totals). Shorter input is zero-padded."""
-    n = max(len(x), len(y))
-    return _prefix_dominated(_prefix_sums(x, n), _prefix_sums(y, n))
-
-
 def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdict:
     """LOCC convertibility between two pure states.
 
@@ -155,7 +148,6 @@ __all__ = [
     "Verdict",
     "ConvertibilityVerdict",
     "DominanceReport",
-    "majorizes",
     "nielsen_verdict",
     "hierarchy_dominance",
     "t_transform_source",

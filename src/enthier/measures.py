@@ -23,18 +23,11 @@ import numpy as np
 from .errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
-    DimensionTooLargeForMinors,
     DimensionTooLargeForNewton,
     InvalidDensity,
     NonPositiveOrder,
 )
-from .linalg import (
-    MINOR_DIM_LIMIT,
-    clamp_nonnegative,
-    elementary_symmetric,
-    hermitian_eigenvalues,
-    minor_sum,
-)
+from .linalg import clamp_nonnegative, elementary_symmetric, minor_sum
 from .states import PureState, schmidt_spectrum
 
 DENSITY_TRACE_TOL = 1e-9
@@ -64,22 +57,20 @@ class Separability(Enum):
 
 
 def hierarchy(state: PureState) -> np.ndarray:
-    """C_k = e_k(schmidt spectrum) for k = 1..d, d = min(dim_a, dim_b)."""
-    lam = schmidt_spectrum(state)
-    return np.array([elementary_symmetric(lam, k) for k in range(1, lam.size + 1)])
+    """C_k = e_k(schmidt spectrum) for k = 1..d, d = min(dim_a, dim_b),
+    all levels from one pass of the e_k recurrence."""
+    return elementary_symmetric(schmidt_spectrum(state))
 
 
 def hierarchy_via_minors(state: PureState) -> np.ndarray:
     """The hierarchy as squared minor sums of the amplitude matrix.
 
     C_k = sum over k-subsets beta, gamma of |det A(beta, gamma)|^2, which
-    agrees with the spectral route by the Cauchy-Binet formula.
+    agrees with the spectral route by the Cauchy-Binet formula. Min
+    dimensions above MINOR_DIM_LIMIT are refused by ``minor_sum``.
     """
     a = state.amplitudes
-    d = min(a.shape)
-    if d > MINOR_DIM_LIMIT:
-        raise DimensionTooLargeForMinors(f"min dimension {d} exceeds {MINOR_DIM_LIMIT}")
-    return np.array([minor_sum(a, k) for k in range(1, d + 1)])
+    return np.array([minor_sum(a, k) for k in range(1, min(a.shape) + 1)])
 
 
 def invariants(state: PureState) -> np.ndarray:
@@ -107,7 +98,8 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
     k e_k = sum_{m=1}^{k} (-1)^(m-1) e_{k-m} p_m; the three-level case
     reduces to C_3 = (1 - 3 p_2 + 2 p_3) / 6. The alternating sum cancels
     badly on the small top levels, so min dimensions above
-    NEWTON_DIM_LIMIT are refused.
+    NEWTON_DIM_LIMIT are refused. ``clamp_nonnegative`` zeroes levels that
+    rounding leaves just below 0 and raises on any below -1e-10.
     """
     d = min(state.dim_a, state.dim_b)
     if d > NEWTON_DIM_LIMIT:
@@ -122,7 +114,7 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
         for m in range(1, k + 1):
             acc += (-1.0) ** (m - 1) * e[k - m] * power_sums[m - 1]
         e[k] = acc / k
-    return e[1:]
+    return clamp_nonnegative(e[1:])
 
 
 def renyi_entropy(state: PureState, order: float) -> float:
@@ -182,7 +174,7 @@ def require_two_qubit_density(rho) -> np.ndarray:
     trace = complex(np.trace(a)).real
     if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise InvalidDensity(f"trace {trace!r} deviates from 1 beyond 1e-9")
-    smallest = hermitian_eigenvalues(a)[-1]
+    smallest = np.linalg.eigvalsh(a)[0]
     if smallest < -DENSITY_POSITIVITY_TOL:
         raise InvalidDensity(f"negative eigenvalue {smallest:.3e}")
     return a
@@ -206,7 +198,7 @@ def spin_flip_lambdas(rho) -> np.ndarray:
     root = _psd_sqrt(a)
     product = root @ flipped @ root
     product = 0.5 * (product + product.conj().T)
-    squares = clamp_nonnegative(hermitian_eigenvalues(product))
+    squares = clamp_nonnegative(np.linalg.eigvalsh(product)[::-1])
     squares[squares < _LAMBDA_SQ_FLOOR] = 0.0
     return np.sqrt(squares)
 
@@ -248,7 +240,7 @@ def partial_transpose_b(rho) -> np.ndarray:
 def ppt_check(rho) -> Separability:
     """Peres-Horodecki test; necessary and sufficient for two qubits."""
     a = require_two_qubit_density(rho)
-    smallest = hermitian_eigenvalues(partial_transpose_b(a))[-1]
+    smallest = np.linalg.eigvalsh(partial_transpose_b(a))[0]
     return Separability.ENTANGLED if smallest < -PPT_TOL else Separability.SEPARABLE
 
 

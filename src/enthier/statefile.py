@@ -144,7 +144,8 @@ def state_document(state: PureState) -> dict:
     for i in range(state.dim_a):
         for j in range(state.dim_b):
             value = state.amplitudes[i, j]
-            if value != 0:
+            # a -0.0 part is kept too, so the file parses back bit-for-bit
+            if value != 0 or np.signbit(value.real) or np.signbit(value.imag):
                 entries.append({"i": i, "j": j, "re": value.real, "im": value.imag})
     return {"dims": [state.dim_a, state.dim_b], "amplitudes": entries}
 

@@ -16,7 +16,7 @@ from .errors import (
     NotNormalized,
     ZeroState,
 )
-from .linalg import clamp_nonnegative, require_unitary, singular_values_squared
+from .linalg import require_unitary, singular_values_squared
 
 NORM_INVARIANT_TOL = 1e-9
 NORM_GATE = 1e-6  # constructor acceptance without an explicit renormalize
@@ -27,18 +27,27 @@ RANK_TOL = 1e-10
 _RENORM_SKIP_TOL = 1e-12
 
 
-def _scaled_norm(values: np.ndarray) -> tuple[float, float]:
-    """(scale, norm of values / scale), scale the power of two just above max |entry|.
+def _normalized(values: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
+    """``values`` divided by their norm, after the zero and norm-gate checks.
 
-    The scaled squares cannot overflow or all underflow, and power-of-two
-    scaling is exact: dividing by scale, then by the scaled norm, gives the
-    bits of dividing by the plain norm whenever that norm is representable.
+    The norm is taken on values / scale, scale the power of two just above
+    max |entry| (at most 2^1023, the largest finite one): the scaled squares
+    cannot overflow or all underflow, and power-of-two scaling is exact, so
+    dividing by scale, then by the scaled norm, gives the bits of dividing by
+    the plain norm whenever that norm is representable. Within
+    _RENORM_SKIP_TOL of 1 the values come back as given.
     """
     peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
     if peak == 0.0:
-        return 1.0, 0.0
-    scale = math.ldexp(1.0, math.frexp(peak)[1])
-    return scale, float(np.linalg.norm(values / scale))
+        raise ZeroState(f"all {what} are zero")
+    scale = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
+    scaled_norm = float(np.linalg.norm(values / scale))
+    norm = scale * scaled_norm
+    if not renormalize and abs(norm - 1.0) > NORM_GATE:
+        raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
+    if abs(norm - 1.0) > _RENORM_SKIP_TOL:
+        return values / scale / scaled_norm
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +109,7 @@ def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) 
             raise DuplicateEntry(f"amplitude ({i}, {j}) supplied twice")
         seen.add((i, j))
         a[i, j] = value
-    scale, scaled_norm = _scaled_norm(a)
-    norm = scale * scaled_norm
-    if norm == 0.0:
-        raise ZeroState("all amplitudes are zero")
-    if not renormalize and abs(norm - 1.0) > NORM_GATE:
-        raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
-    if abs(norm - 1.0) > _RENORM_SKIP_TOL:
-        a = a / scale / scaled_norm
-    return PureState(a)
+    return PureState(_normalized(a, renormalize, "amplitudes"))
 
 
 def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
@@ -118,14 +119,7 @@ def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
         raise DimensionMismatch("coefficients must be a non-empty 1-D sequence")
     if np.any(c < 0.0):
         raise NegativeCoefficient(f"coefficient {c.min()!r} is negative")
-    scale, scaled_norm = _scaled_norm(c)
-    norm = scale * scaled_norm
-    if norm == 0.0:
-        raise ZeroState("all coefficients are zero")
-    if not renormalize and abs(norm - 1.0) > NORM_GATE:
-        raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
-    if abs(norm - 1.0) > _RENORM_SKIP_TOL:
-        c = c / scale / scaled_norm
+    c = _normalized(c, renormalize, "coefficients")
     a = np.zeros((c.size, c.size), dtype=complex)
     np.fill_diagonal(a, c.astype(complex))
     return PureState(a)
@@ -137,7 +131,7 @@ def schmidt_spectrum(state: PureState) -> np.ndarray:
     cached = state._spectrum
     if cached is not None:
         return cached
-    values = clamp_nonnegative(singular_values_squared(state.amplitudes))
+    values = singular_values_squared(state.amplitudes)
     total = float(values.sum())
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(f"spectrum sum {total!r} drifted from 1; state corrupt")

@@ -107,6 +107,16 @@ def test_measure_newton_guard_is_domain_error(tmp_path, capsys):
     assert main(["measure", above, "--path", "eig"]) == 0
 
 
+def test_measure_newton_levels_nonnegative_on_rank_deficient_state(tmp_path, capsys):
+    doc = {"dims": [4, 4], "schmidt": [0.7071067811865476, 0.5, 0.5, 0.0]}
+    path = write_json(tmp_path, "deficient.json", doc)
+    code, payload = run_json(capsys, ["measure", path, "--path", "newton"])
+    assert code == 0
+    levels = payload["results"]["hierarchy"]
+    assert all(level >= 0.0 for level in levels)
+    assert levels[3] == 0.0
+
+
 def test_measure_renyi_orders_flag(tmp_path, capsys):
     path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
     code, payload = run_json(capsys, ["measure", path, "--renyi", "1,3"])
@@ -164,6 +174,15 @@ def test_measure_renormalizes_huge_amplitudes(tmp_path, capsys):
     code, payload = run_json(capsys, ["measure", path, "--renormalize"])
     assert code == 0
     assert np.allclose(payload["results"]["schmidt_spectrum"], [0.5, 0.5], atol=1e-12)
+
+
+def test_measure_coefficients_near_float_max(tmp_path, capsys):
+    path = write_json(tmp_path, "max.json", {"dims": [2, 2], "schmidt": [1.7e308, 1.7e308]})
+    code, payload = run_json(capsys, ["measure", path, "--renormalize"])
+    assert code == 0
+    assert np.allclose(payload["results"]["schmidt_spectrum"], [0.5, 0.5], atol=1e-12)
+    assert main(["measure", path]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_measure_missing_file_is_parse_error(capsys):

@@ -1,25 +1,35 @@
 """Property tests for the invariants the paper relies on."""
 
+import math
+import struct
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enthier.linalg import random_unitary, seeded_rng
+from enthier.locc import Verdict, hierarchy_dominance, nielsen_verdict
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
+    wootters_concurrence,
+    wootters_pure,
 )
-from enthier.states import apply_local_unitary, random_pure
+from enthier.statefile import parse_state, write_state
+from enthier.states import PureState, apply_local_unitary, density_matrix, random_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
+WOOTTERS_TOL = 1e-12
 
 dims = st.integers(min_value=1, max_value=NEWTON_DIM_LIMIT)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(dim_a=dims, dim_b=dims, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@derandomized
+@given(dim_a=dims, dim_b=dims, seed=seeds)
 def test_routes_agree_and_are_local_unitary_invariant(dim_a, dim_b, seed):
     rng = seeded_rng(seed)
     state = random_pure(dim_a, dim_b, rng)
@@ -28,3 +38,64 @@ def test_routes_agree_and_are_local_unitary_invariant(dim_a, dim_b, seed):
     for route in (hierarchy, hierarchy_via_minors, hierarchy_via_invariants):
         assert np.max(np.abs(route(state) - eig)) <= ROUTE_TOL
         assert np.max(np.abs(route(rotated) - eig)) <= ROUTE_TOL
+
+
+SWAPPED = {
+    Verdict.FORWARD_ONLY: Verdict.BACKWARD_ONLY,
+    Verdict.BACKWARD_ONLY: Verdict.FORWARD_ONLY,
+    Verdict.EQUIVALENT: Verdict.EQUIVALENT,
+    Verdict.INCOMPARABLE: Verdict.INCOMPARABLE,
+}
+
+
+@derandomized
+@given(shape=st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4), twin=st.booleans(), seed=seeds)
+def test_nielsen_verdict_and_dominance_are_antisymmetric(shape, twin, seed):
+    rng = seeded_rng(seed)
+    source = random_pure(shape[0], shape[1], rng)
+    target = source if twin else random_pure(shape[2], shape[3], rng)
+    assert nielsen_verdict(target, source).verdict is SWAPPED[nielsen_verdict(source, target).verdict]
+    forward = hierarchy_dominance(source, target)
+    backward = hierarchy_dominance(target, source)
+    assert backward.slacks == tuple(-slack for slack in forward.slacks)
+    assert (backward.source_dominates, backward.target_dominates) == (
+        forward.target_dominates,
+        forward.source_dominates,
+    )
+
+
+@derandomized
+@given(product=st.booleans(), seed=seeds)
+def test_wootters_concurrence_of_projector_is_pure_concurrence(product, seed):
+    rng = seeded_rng(seed)
+    if product:
+        u, v = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        state = PureState(np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)))
+    else:
+        state = random_pure(2, 2, rng)
+    assert abs(wootters_concurrence(density_matrix(state)) - wootters_pure(state)) <= WOOTTERS_TOL
+
+
+# Signed zeros and subnormals, the values a lossy writer would drop or flush.
+edge_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308])
+parts = st.one_of(edge_parts, st.floats(min_value=-0.1, max_value=0.1))
+
+
+def bits(values):
+    return [struct.pack("<dd", value.real, value.imag) for value in np.ravel(values)]
+
+
+@derandomized
+@given(data=st.data(), dim_a=st.integers(min_value=1, max_value=4), dim_b=st.integers(min_value=1, max_value=4))
+def test_state_file_round_trip_is_bit_exact(tmp_path_factory, data, dim_a, dim_b):
+    count = dim_a * dim_b
+    re = data.draw(st.lists(parts, min_size=count, max_size=count))
+    im = data.draw(st.lists(parts, min_size=count, max_size=count))
+    a = np.empty((dim_a, dim_b), dtype=complex)
+    a.real.flat, a.imag.flat = re, im  # part by part, so no sign of zero is lost
+    a[0, 0] = 0.0
+    a[0, 0] = math.sqrt(1.0 - float(np.sum(np.abs(a) ** 2)))  # unit norm
+    state = PureState(a)
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    write_state(state, path)
+    assert bits(parse_state(path).amplitudes) == bits(state.amplitudes)
