@@ -44,7 +44,7 @@ from .measures import (
 )
 from .reference import build_report
 from .report import ReportDocument
-from .statefile import parse_density, parse_state, state_document
+from .statefile import parse_density, parse_state, state_document, write_state
 from .states import random_pure, schmidt_rank, schmidt_spectrum
 
 _HIERARCHY_PATHS = {
@@ -54,14 +54,16 @@ _HIERARCHY_PATHS = {
 }
 
 
+# Errors with their own exit code; every other EnthierError exits 1.
+_EXIT_CODES = {ParseError: 2, SelfCheckFailed: 3}
+
+
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _provenance(**extra) -> dict:
-    base = {"tool": "enthier", "version": __version__}
-    base.update(extra)
-    return base
+def _report(args, results: dict, **provenance) -> ReportDocument:
+    return ReportDocument(args.command, results, {"tool": "enthier", "version": __version__, **provenance})
 
 
 def _renyi_orders(raw: str) -> list[float]:
@@ -76,11 +78,19 @@ def _renyi_orders(raw: str) -> list[float]:
     return orders
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}")
+        return value
+
+    return parse
 
 
 def _cmd_measure(args) -> tuple[ReportDocument, int]:
@@ -99,8 +109,7 @@ def _cmd_measure(args) -> tuple[ReportDocument, int]:
         "af_concurrence": af_concurrence(state),
         "rungta_concurrence": rungta_concurrence(state),
     }
-    provenance = _provenance(input_digest=_digest(args.state))
-    return ReportDocument("measure", results, provenance), 0
+    return _report(args, results, input_digest=_digest(args.state)), 0
 
 
 def _cmd_locc(args) -> tuple[ReportDocument, int]:
@@ -120,10 +129,8 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
         },
         "conversion_class": conversion_class(source, target),
     }
-    provenance = _provenance(
-        source_digest=_digest(args.source), target_digest=_digest(args.target)
-    )
-    return ReportDocument("locc", results, provenance), 0
+    provenance = {"source_digest": _digest(args.source), "target_digest": _digest(args.target)}
+    return _report(args, results, **provenance), 0
 
 
 def _cmd_wootters(args) -> tuple[ReportDocument, int]:
@@ -136,8 +143,7 @@ def _cmd_wootters(args) -> tuple[ReportDocument, int]:
         "lambdas": [float(v) for v in lambdas],
         "ppt": ppt_check(rho).value,
     }
-    provenance = _provenance(input_digest=_digest(args.density))
-    return ReportDocument("wootters", results, provenance), 0
+    return _report(args, results, input_digest=_digest(args.density)), 0
 
 
 def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
@@ -149,8 +155,7 @@ def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
         "schmidt_spectrum": [float(v) for v in spectrum],
         "schmidt_rank": schmidt_rank(spectrum),
     }
-    provenance = _provenance(input_digest=_digest(args.state))
-    return ReportDocument("schmidt", results, provenance), 0
+    return _report(args, results, input_digest=_digest(args.state)), 0
 
 
 def _cmd_scan(args) -> tuple[ReportDocument, int]:
@@ -166,26 +171,25 @@ def _cmd_scan(args) -> tuple[ReportDocument, int]:
         "counts": counts,
         "frequencies": {key: value / args.samples for key, value in counts.items()},
     }
-    provenance = _provenance(seed=args.seed)
-    return ReportDocument("scan", results, provenance), 0
+    return _report(args, results, seed=args.seed), 0
 
 
 def _cmd_paper_examples(args) -> tuple[ReportDocument, int]:
     results, failures = build_report()
-    report = ReportDocument("paper-examples", results, _provenance())
     if failures:
         print(f"self-check failed: {', '.join(failures)}", file=sys.stderr)
-        return report, 3
-    return report, 0
+    return _report(args, results), 3 if failures else 0
 
 
 def _cmd_emit_state(args) -> tuple[str, int]:
     state = parse_state(args.state, renormalize=args.renormalize)
-    text = json.dumps(state_document(state), indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        return f"wrote {args.output}", 0
-    return text, 0
+    if not args.output:
+        return json.dumps(state_document(state), indent=2), 0
+    try:
+        write_state(state, args.output)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc}") from exc
+    return f"wrote {args.output}", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser(
         "scan", help="frequencies of convertibility classes over random pairs"
     )
-    scan.add_argument("--dims", type=_positive_int, default=3, help="local dimension")
-    scan.add_argument("--samples", type=_positive_int, default=1000)
-    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--dims", type=_int_at_least(1), default=3, help="local dimension")
+    scan.add_argument("--samples", type=_int_at_least(1), default=1000)
+    scan.add_argument("--seed", type=_int_at_least(0), default=0)
     add_json(scan)
     scan.set_defaults(handler=_cmd_scan)
 
@@ -277,15 +281,9 @@ def main(argv=None) -> int:
         return 0 if code in (None, 0) else 2
     try:
         output, exit_code = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SelfCheckFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except EnthierError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES.get(type(exc), 1)
     if isinstance(output, ReportDocument):
         output = output.to_json() if getattr(args, "json", False) else output.render()
     try:

@@ -56,21 +56,21 @@ def as_complex_matrix(matrix) -> np.ndarray:
     return a
 
 
-def require_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(matrix) -> np.ndarray:
     a = as_complex_matrix(matrix)
     if a.shape[0] != a.shape[1]:
         raise NonSquareMatrix(f"unitary input must be square, got {a.shape}")
     residual = np.linalg.norm(a @ a.conj().T - np.eye(a.shape[0]))
-    if residual > tol:
-        raise NonUnitaryInput(f"unitarity residual {residual:.3e} exceeds {tol:.0e}")
+    if residual > UNITARY_TOL:
+        raise NonUnitaryInput(f"unitarity residual {residual:.3e} exceeds {UNITARY_TOL:.0e}")
     return a
 
 
-def clamp_nonnegative(values, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
-    """Zero out negative float noise; reject genuinely negative values."""
+def clamp_nonnegative(values) -> np.ndarray:
+    """Zero out negative float noise down to -PSD_CLAMP_TOL; reject anything lower."""
     v = np.array(values, dtype=float)
-    if v.size and v.min() < -tol:
-        raise NonPositiveSpectrum(f"eigenvalue {v.min():.3e} below -{tol:.0e}")
+    if v.size and v.min() < -PSD_CLAMP_TOL:
+        raise NonPositiveSpectrum(f"eigenvalue {v.min():.3e} below -{PSD_CLAMP_TOL:.0e}")
     v[v < 0.0] = 0.0
     return v
 

@@ -17,7 +17,6 @@ from .measures import hierarchy
 from .states import PureState, schmidt_spectrum
 
 PREFIX_TOL = 1e-12
-TOTAL_TOL = 1e-9
 SLACK_TOL = 1e-12
 
 COMPARABLE = "comparable"
@@ -54,42 +53,37 @@ class DominanceReport:
         return not (self.source_dominates or self.target_dominates)
 
 
-def _prefix_sums(spectrum, length: int) -> np.ndarray:
-    values = np.sort(np.asarray(spectrum, dtype=float))[::-1]
+# (forward, backward) prefix dominance -> verdict
+_VERDICTS = {
+    (True, True): Verdict.EQUIVALENT,
+    (True, False): Verdict.FORWARD_ONLY,
+    (False, True): Verdict.BACKWARD_ONLY,
+    (False, False): Verdict.INCOMPARABLE,
+}
+
+
+def _prefix_sums(spectrum: np.ndarray, length: int) -> np.ndarray:
     padded = np.zeros(length)
-    padded[: values.size] = values
+    padded[: spectrum.size] = spectrum
     return np.cumsum(padded)
-
-
-def _prefix_dominated(px: np.ndarray, py: np.ndarray) -> bool:
-    if abs(px[-1] - py[-1]) > TOTAL_TOL:
-        return False
-    return bool(np.all(px <= py + PREFIX_TOL))
 
 
 def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdict:
     """LOCC convertibility between two pure states.
 
     Forward means source -> target is possible; spectra of unequal length
-    are zero-padded. Comparisons at the tolerance boundary resolve toward
-    convertibility.
+    are zero-padded. Both spectra are descending with unit sum, so only
+    the prefix sums need comparing. Comparisons at the tolerance boundary
+    resolve toward convertibility.
     """
     lam_source = schmidt_spectrum(source)
     lam_target = schmidt_spectrum(target)
     n = max(lam_source.size, lam_target.size)
     ps = _prefix_sums(lam_source, n)
     pt = _prefix_sums(lam_target, n)
-    forward = _prefix_dominated(ps, pt)
-    backward = _prefix_dominated(pt, ps)
-    if forward and backward:
-        verdict = Verdict.EQUIVALENT
-    elif forward:
-        verdict = Verdict.FORWARD_ONLY
-    elif backward:
-        verdict = Verdict.BACKWARD_ONLY
-    else:
-        verdict = Verdict.INCOMPARABLE
-    return ConvertibilityVerdict(verdict, tuple(map(float, ps)), tuple(map(float, pt)))
+    forward = bool(np.all(ps <= pt + PREFIX_TOL))
+    backward = bool(np.all(pt <= ps + PREFIX_TOL))
+    return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(map(float, ps)), tuple(map(float, pt)))
 
 
 def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport:
@@ -140,7 +134,6 @@ def conversion_class(source: PureState, target: PureState) -> str:
 
 __all__ = [
     "PREFIX_TOL",
-    "TOTAL_TOL",
     "SLACK_TOL",
     "COMPARABLE",
     "INCOMPARABLE_MIXED",

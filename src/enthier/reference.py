@@ -12,7 +12,7 @@ import math
 
 from .errors import SelfCheckFailed
 from .linalg import bisect_root
-from .locc import Verdict, hierarchy_dominance, nielsen_verdict
+from .locc import hierarchy_dominance, nielsen_verdict
 from .measures import af_concurrence, eof_pure, hierarchy, hierarchy_via_minors
 from .states import PureState, from_schmidt
 
@@ -23,6 +23,13 @@ SPECTRUM_MIXED_TARGET = (0.6, 0.2, 0.2)
 #: The incomparable pair where one side dominates every hierarchy level.
 SPECTRUM_DOMINANT_SOURCE = (0.55, 0.3, 0.15)
 SPECTRUM_DOMINANT_TARGET = (0.5, 0.4, 0.1)
+
+#: Results key, spectrum, and the golden C_2 and C_3 of each pinned spectrum.
+_GOLDEN_LEVELS = (
+    ("spectrum_050_040_010", SPECTRUM_MIXED_SOURCE, 0.29, 0.020),
+    ("spectrum_060_020_020", SPECTRUM_MIXED_TARGET, 0.28, 0.024),
+    ("spectrum_055_030_015", SPECTRUM_DOMINANT_SOURCE, 0.2925, 0.02475),
+)
 
 
 def diagonal_state(spectrum) -> PureState:
@@ -52,135 +59,88 @@ def unit_eof_equation(x: float) -> float:
     return x**x * (2.0 * (1.0 - x)) ** (1.0 - x) - 1.0
 
 
-def solve_unit_eof_x(tol: float = 1e-10) -> float:
+def solve_unit_eof_x() -> float:
     """Root of the unit-entropy equation inside (0, 1/2), near 0.2271."""
-    return bisect_root(unit_eof_equation, 0.01, 0.49, tol)
+    return bisect_root(unit_eof_equation, 0.01, 0.49)
 
 
 def build_report() -> tuple[dict, list[str]]:
     """Recompute every pinned value and compare against its golden target.
 
     Returns the machine-readable results plus the list of failed check
-    names (empty when everything lands inside tolerance).
+    names (empty when everything lands inside tolerance). Each value is
+    computed once, into the results; the golden table then reads it back.
+    Its rows are (name, value, expected, tolerance) for numbers and
+    (name, label, required label, detail) for verdict and dominance labels.
     """
-    checks: list[dict] = []
-    failures: list[str] = []
+    spectra = (SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET, SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET)
+    state = {spectrum: diagonal_state(spectrum) for spectrum in spectra}
 
-    def check(name: str, value: float, expected: float, tol: float) -> None:
-        value = float(value)
-        expected = float(expected)
-        passed = abs(value - expected) <= tol
-        checks.append(
-            {"name": name, "value": value, "expected": expected, "tolerance": tol, "passed": passed}
-        )
-        if not passed:
-            failures.append(name)
+    def pair(source, target) -> dict:
+        verdict = nielsen_verdict(state[source], state[target])
+        dominance = hierarchy_dominance(state[source], state[target])
+        if dominance.mixed:
+            label = "mixed"
+        else:
+            label = "source-dominates" if dominance.source_dominates else "target-dominates"
+        return {"verdict": verdict.verdict.value, "slacks": list(dominance.slacks), "dominance": label}
 
-    def check_flag(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-        if not passed:
-            failures.append(name)
-
-    mixed_source = diagonal_state(SPECTRUM_MIXED_SOURCE)
-    mixed_target = diagonal_state(SPECTRUM_MIXED_TARGET)
-    dominant_source = diagonal_state(SPECTRUM_DOMINANT_SOURCE)
-    dominant_target = diagonal_state(SPECTRUM_DOMINANT_TARGET)
-
-    hier = {
-        "source": hierarchy(mixed_source),
-        "target": hierarchy(mixed_target),
-        "dominant_source": hierarchy(dominant_source),
-    }
-    check("c2 of (0.5, 0.4, 0.1)", hier["source"][1], 0.29, 1e-12)
-    check("c3 of (0.5, 0.4, 0.1)", hier["source"][2], 0.020, 1e-12)
-    check("c2 of (0.6, 0.2, 0.2)", hier["target"][1], 0.28, 1e-12)
-    check("c3 of (0.6, 0.2, 0.2)", hier["target"][2], 0.024, 1e-12)
-    check("c2 of (0.55, 0.3, 0.15)", hier["dominant_source"][1], 0.2925, 1e-12)
-    check("c3 of (0.55, 0.3, 0.15)", hier["dominant_source"][2], 0.02475, 1e-12)
-
-    mixed_verdict = nielsen_verdict(mixed_source, mixed_target)
-    mixed_dominance = hierarchy_dominance(mixed_source, mixed_target)
-    dominant_verdict = nielsen_verdict(dominant_source, dominant_target)
-    dominant_dominance = hierarchy_dominance(dominant_source, dominant_target)
-    check_flag(
-        "mixed pair incomparable",
-        mixed_verdict.verdict is Verdict.INCOMPARABLE,
-        mixed_verdict.verdict.value,
-    )
-    check_flag(
-        "mixed pair dominance mixed",
-        mixed_dominance.mixed,
-        f"slacks {tuple(mixed_dominance.slacks)}",
-    )
-    check_flag(
-        "dominant pair incomparable",
-        dominant_verdict.verdict is Verdict.INCOMPARABLE,
-        dominant_verdict.verdict.value,
-    )
-    check_flag(
-        "dominant pair source-dominant",
-        dominant_dominance.source_dominates and not dominant_dominance.mixed,
-        f"slacks {tuple(dominant_dominance.slacks)}",
-    )
-
+    hier = {}
+    for key, spectrum, _, _ in _GOLDEN_LEVELS:
+        levels = hierarchy(state[spectrum])
+        hier[key] = {"c2": float(levels[1]), "c3": float(levels[2])}
+    mixed = pair(SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET)
+    dominant = pair(SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET)
     bell = bell_embedded()
     third = x_family(1.0 / 3.0)
-    c3_bell = hierarchy_via_minors(bell)[2]
-    c3_third = hierarchy_via_minors(third)[2]
-    check("c3 of the two-term uniform state", c3_bell, 0.0, 1e-12)
-    check("c3 of the x=1/3 family member", c3_third, 1.0 / 54.0, 1e-12)
-    check("c3 gap at x=1/3", c3_third - c3_bell, 1.0 / 54.0, 1e-12)
-
-    af_bell = af_concurrence(bell)
-    af_third = af_concurrence(third)
-    check("two-level concurrence at x=1/3", af_third, math.sqrt(0.75), 1e-12)
-    check("two-level concurrence coincidence gap", af_third - af_bell, 0.0, 1e-12)
-
+    c3_bell = float(hierarchy_via_minors(bell)[2])
+    c3_third = float(hierarchy_via_minors(third)[2])
+    three = {"c3_two_term_uniform": c3_bell, "c3_x_one_third": c3_third, "gap": c3_third - c3_bell}
+    two = {"af_two_term_uniform": af_concurrence(bell), "af_x_one_third": af_concurrence(third)}
     x_star = solve_unit_eof_x()
-    eof_at_root = eof_pure(x_family(x_star))
-    eof_bell = eof_pure(bell)
-    check("unit-entropy root", x_star, 0.2271, 5e-4)
-    check("eof at the root", eof_at_root, 1.0, 1e-6)
-    check("eof of the two-term uniform state", eof_bell, 1.0, 1e-12)
+    root = {"x_star": x_star, "eof_at_root": eof_pure(x_family(x_star)), "eof_two_term_uniform": eof_pure(bell)}
 
+    golden = [
+        (f"c{k} of {spectrum}", hier[key][f"c{k}"], expected, 1e-12)
+        for key, spectrum, c2, c3 in _GOLDEN_LEVELS
+        for k, expected in ((2, c2), (3, c3))
+    ] + [
+        ("mixed pair incomparable", mixed["verdict"], "incomparable", mixed["verdict"]),
+        ("mixed pair dominance mixed", mixed["dominance"], "mixed", f"slacks {tuple(mixed['slacks'])}"),
+        ("dominant pair incomparable", dominant["verdict"], "incomparable", dominant["verdict"]),
+        (
+            "dominant pair source-dominant",
+            dominant["dominance"],
+            "source-dominates",
+            f"slacks {tuple(dominant['slacks'])}",
+        ),
+        ("c3 of the two-term uniform state", three["c3_two_term_uniform"], 0.0, 1e-12),
+        ("c3 of the x=1/3 family member", three["c3_x_one_third"], 1.0 / 54.0, 1e-12),
+        ("c3 gap at x=1/3", three["gap"], 1.0 / 54.0, 1e-12),
+        ("two-level concurrence at x=1/3", two["af_x_one_third"], math.sqrt(0.75), 1e-12),
+        ("two-level concurrence coincidence gap", two["af_x_one_third"] - two["af_two_term_uniform"], 0.0, 1e-12),
+        ("unit-entropy root", root["x_star"], 0.2271, 5e-4),
+        ("eof at the root", root["eof_at_root"], 1.0, 1e-6),
+        ("eof of the two-term uniform state", root["eof_two_term_uniform"], 1.0, 1e-12),
+    ]
+    checks = []
+    for name, value, expected, bound in golden:
+        if isinstance(expected, str):
+            checks.append({"name": name, "passed": value == expected, "detail": bound})
+        else:
+            passed = abs(value - expected) <= bound
+            checks.append(
+                {"name": name, "value": value, "expected": expected, "tolerance": bound, "passed": passed}
+            )
     results = {
-        "hierarchies": {
-            "spectrum_050_040_010": {"c2": float(hier["source"][1]), "c3": float(hier["source"][2])},
-            "spectrum_060_020_020": {"c2": float(hier["target"][1]), "c3": float(hier["target"][2])},
-            "spectrum_055_030_015": {
-                "c2": float(hier["dominant_source"][1]),
-                "c3": float(hier["dominant_source"][2]),
-            },
-        },
-        "verdicts": {
-            "mixed_pair": {
-                "verdict": mixed_verdict.verdict.value,
-                "slacks": [float(s) for s in mixed_dominance.slacks],
-                "dominance": "mixed",
-            },
-            "dominant_pair": {
-                "verdict": dominant_verdict.verdict.value,
-                "slacks": [float(s) for s in dominant_dominance.slacks],
-                "dominance": "source-dominates" if dominant_dominance.source_dominates else "other",
-            },
-        },
-        "three_level": {
-            "c3_two_term_uniform": float(c3_bell),
-            "c3_x_one_third": float(c3_third),
-            "gap": float(c3_third - c3_bell),
-        },
-        "two_level_coincidence": {
-            "af_two_term_uniform": float(af_bell),
-            "af_x_one_third": float(af_third),
-        },
-        "unit_eof_root": {
-            "x_star": float(x_star),
-            "eof_at_root": float(eof_at_root),
-            "eof_two_term_uniform": float(eof_bell),
-        },
+        "hierarchies": hier,
+        "verdicts": {"mixed_pair": mixed, "dominant_pair": dominant},
+        "three_level": three,
+        "two_level_coincidence": two,
+        "unit_eof_root": root,
         "checks": checks,
     }
-    return results, failures
+    return results, [check["name"] for check in checks if not check["passed"]]
 
 
 def self_check() -> dict:

@@ -22,6 +22,11 @@ _ENTRY_KEYS = {"i", "j", "re", "im"}
 _DENSITY_KEYS = {"dims", "matrix"}
 
 
+def _is_number(value) -> bool:
+    """A JSON number; true and false are not, although bool subclasses int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_document(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -73,7 +78,7 @@ def _parse_entry(entry, position: int, path) -> tuple[int, int, complex]:
     if "re" not in entry:
         raise ParseError(f"{path}: amplitudes[{position}].re is required")
     for key in ("re", "im"):
-        if key in entry and not isinstance(entry[key], (int, float)):
+        if key in entry and not _is_number(entry[key]):
             raise ParseError(f"{path}: amplitudes[{position}].{key} must be a number")
     return entry["i"], entry["j"], complex(entry["re"], entry.get("im", 0.0))
 
@@ -105,7 +110,7 @@ def parse_state(path, renormalize: bool = False) -> PureState:
     raw = document["schmidt"]
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{path}: 'schmidt' must be a non-empty list")
-    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
+    if not all(_is_number(c) for c in raw):
         raise ParseError(f"{path}: 'schmidt' entries must be numbers")
     if dims != [len(raw), len(raw)]:
         raise ParseError(f"{path}: 'dims' must equal [{len(raw)}, {len(raw)}] for {len(raw)} schmidt coefficients")
@@ -128,11 +133,7 @@ def parse_density(path) -> np.ndarray:
         raise ParseError(f"{path}: 'matrix' must list 16 [re, im] pairs, row-major")
     values = []
     for position, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(part) for part in pair):
             raise ParseError(f"{path}: matrix[{position}] must be a [re, im] pair")
         values.append(complex(pair[0], pair[1]))
     return np.array(values, dtype=complex).reshape(4, 4)

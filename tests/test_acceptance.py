@@ -76,7 +76,7 @@ def test_criterion_02_incomparable_pair_verdicts():
 
 
 def test_criterion_03_unit_eof_root():
-    x_star = solve_unit_eof_x(tol=1e-10)
+    x_star = solve_unit_eof_x()
     ok = 0.2266 <= x_star <= 0.2276
     ok = ok and abs(eof_pure(x_family(x_star)) - 1.0) <= 1e-6
     ok = ok and abs(eof_pure(bell_embedded()) - 1.0) <= 1e-12

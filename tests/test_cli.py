@@ -11,9 +11,12 @@ import pytest
 import enthier
 from enthier.cli import main
 from enthier.linalg import seeded_rng
+from enthier.locc import hierarchy_dominance
 from enthier.measures import NEWTON_DIM_LIMIT
 from enthier.statefile import write_state
 from enthier.states import density_matrix, from_amplitudes, random_pure
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
 
 MIXED_SOURCE_DOC = {"dims": [3, 3], "schmidt": [math.sqrt(0.5), math.sqrt(0.4), math.sqrt(0.1)]}
 MIXED_TARGET_DOC = {"dims": [3, 3], "schmidt": [math.sqrt(0.6), math.sqrt(0.2), math.sqrt(0.2)]}
@@ -312,6 +315,23 @@ def test_scan_rejects_bad_samples(capsys):
     assert main(["scan", "--samples", "0"]) == 2
 
 
+def test_scan_negative_seed_is_usage_error(capsys):
+    assert main(["scan", "--seed", "-1", "--samples", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0" in err
+    assert "Traceback" not in err
+
+
+def test_scan_counts_pinned_at_seed_zero(capsys):
+    code, payload = run_json(capsys, ["scan", "--dims", "3", "--samples", "300", "--seed", "0"])
+    assert code == 0
+    assert payload["results"]["counts"] == {
+        "comparable": 193,
+        "incomparable-mixed-dominance": 74,
+        "incomparable-full-dominance": 33,
+    }
+
+
 # ---------------------------------------------------------- paper-examples
 
 
@@ -340,6 +360,29 @@ def test_paper_examples_failed_check_exits_three(capsys, monkeypatch):
     assert main(["paper-examples"]) == 3
     captured = capsys.readouterr()
     assert "self-check failed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, snapshot",
+    [(["paper-examples"], "paper_examples.txt"), (["paper-examples", "--json"], "paper_examples.json")],
+)
+def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (SNAPSHOTS / snapshot).read_text()
+
+
+def test_paper_examples_dominance_label_comes_from_the_report(monkeypatch):
+    import enthier.reference
+    from enthier.locc import DominanceReport
+
+    def one_sided(source, target):
+        slacks = hierarchy_dominance(source, target).slacks
+        return DominanceReport(slacks, source_dominates=True, target_dominates=False)
+
+    monkeypatch.setattr(enthier.reference, "hierarchy_dominance", one_sided)
+    results, failures = enthier.reference.build_report()
+    assert results["verdicts"]["mixed_pair"]["dominance"] != "mixed"
+    assert failures == ["mixed pair dominance mixed"]
 
 
 def test_self_check_passes_as_library_call():
@@ -377,6 +420,16 @@ def test_emit_state_round_trip(tmp_path, capsys):
     second = json.loads(capsys.readouterr().out)
     assert first == second
     assert first["dims"] == [3, 3]
+
+
+def test_emit_state_unwritable_output_is_usage_error(tmp_path, capsys):
+    source = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    target = tmp_path / "missing" / "out.json"
+    assert main(["emit-state", source, "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_json_values_match_human_table_source(tmp_path, capsys):

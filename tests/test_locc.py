@@ -15,11 +15,8 @@ from enthier.locc import (
     t_transform_source,
 )
 from enthier.measures import eof_pure, hierarchy
+from enthier.reference import diagonal_state
 from enthier.states import from_amplitudes, from_schmidt, random_pure
-
-
-def diagonal_state(spectrum):
-    return from_schmidt(np.sqrt(spectrum))
 
 
 def random_spectrum(d, rng):

@@ -56,6 +56,9 @@ def test_parse_amplitude_im_optional(tmp_path):
         ({"dims": [2, 2], "schmidt": "nope"}, "schmidt"),
         ({"dims": [2, 2], "schmidt": [1.0, "x"]}, "schmidt"),
         ({"dims": [3, 3], "schmidt": [1.0, 0.0]}, "dims"),
+        ({"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": True}]}, "re"),
+        ({"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1, "im": False}]}, "im"),
+        ({"dims": [2, 2], "schmidt": [True, False]}, "schmidt"),
     ],
 )
 def test_parse_state_structural_errors(tmp_path, payload, fragment):
@@ -126,6 +129,7 @@ def test_parse_density_roundtrip(tmp_path):
         ({"dims": [4], "matrix": [[0.25, 0]] * 15}, "matrix"),
         ({"dims": [4], "matrix": [[0.25, 0]] * 15 + [[0.25]]}, "matrix[15]"),
         ({"dims": [4], "matrix": [[0.25, 0]] * 16, "junk": True}, "junk"),
+        ({"dims": [4], "matrix": [[True, 0]] + [[0.25, 0]] * 15}, "matrix[0]"),
     ],
 )
 def test_parse_density_structural_errors(tmp_path, payload, fragment):
