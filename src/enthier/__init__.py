@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConcurrenceOutOfRange,
-    DegreeOutOfRange,
     DimensionMismatch,
     DimensionTooLargeForMinors,
     DimensionTooLargeForNewton,
@@ -23,7 +22,6 @@ from .errors import (
     NoSignChange,
     NotNormalized,
     ParseError,
-    SelfCheckFailed,
     ZeroState,
 )
 from .linalg import (

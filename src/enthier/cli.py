@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: measure, locc, wootters, scan, paper-examples, schmidt,
-emit-state. Exit codes: 0 success, 1 domain error or stdout closed by
-its reader, 2 parse/usage error, 3 self-check failure.
+emit-state. Exit codes: 0 success, 1 domain error, out of memory or
+stdout closed by its reader, 2 parse/usage error, 3 self-check failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EnthierError, ParseError, SelfCheckFailed
+from .errors import EnthierError, ParseError
 from .linalg import seeded_rng
 from .locc import (
     COMPARABLE,
@@ -54,10 +53,6 @@ _HIERARCHY_PATHS = {
 }
 
 
-# Errors with their own exit code; every other EnthierError exits 1.
-_EXIT_CODES = {ParseError: 2, SelfCheckFailed: 3}
-
-
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -73,8 +68,8 @@ def _renyi_orders(raw: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad order list {raw!r}") from exc
     if not orders:
         raise argparse.ArgumentTypeError("need at least one order")
-    if any(math.isnan(order) for order in orders):
-        raise argparse.ArgumentTypeError(f"order list {raw!r} contains NaN")
+    if not all(order > 0 for order in orders):
+        raise argparse.ArgumentTypeError(f"orders must be positive, got {raw!r}")
     return orders
 
 
@@ -283,9 +278,12 @@ def main(argv=None) -> int:
         output, exit_code = args.handler(args)
     except EnthierError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), 1)
+        return 2 if isinstance(exc, ParseError) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     if isinstance(output, ReportDocument):
-        output = output.to_json() if getattr(args, "json", False) else output.render()
+        output = output.to_json() if args.json else output.render()
     try:
         print(output)
         sys.stdout.flush()

@@ -21,10 +21,6 @@ class NonPositiveSpectrum(EnthierError):
     """A positive-semidefinite construction produced a genuinely negative eigenvalue."""
 
 
-class DegreeOutOfRange(EnthierError):
-    """Minor cardinality outside the valid range."""
-
-
 class DimensionTooLargeForMinors(EnthierError):
     """Minor enumeration is guarded against combinatorial blowup."""
 
@@ -75,7 +71,3 @@ class ConcurrenceOutOfRange(EnthierError):
 
 class ParseError(EnthierError):
     """State or density document is structurally malformed."""
-
-
-class SelfCheckFailed(EnthierError):
-    """A built-in reference check missed its tolerance."""

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DegreeOutOfRange,
     DimensionTooLargeForMinors,
     NonFiniteInput,
     NonPositiveSpectrum,
@@ -105,29 +104,29 @@ def elementary_symmetric(values) -> np.ndarray:
     return e[1:]
 
 
-def minor_sum(matrix, k: int) -> float:
-    """Sum of |det M(beta, gamma)|^2 over all k-subsets of rows and columns.
+def minor_sum(matrix) -> np.ndarray:
+    """Sums of |det M(beta, gamma)|^2 over all k-subsets of rows and columns,
+    for every level k = 1..min(rows, cols).
 
-    Combinatorial cross-check path: C(rows,k) C(cols,k) LU determinants,
-    taken _MINOR_CHUNK submatrices at a time; refuses matrices with min
-    dimension above 12.
+    Combinatorial cross-check path: C(rows,k) C(cols,k) LU determinants
+    per level, taken _MINOR_CHUNK submatrices at a time; refuses matrices
+    with min dimension above 12.
     """
     a = as_complex_matrix(matrix)
     rows, cols = a.shape
     d = min(rows, cols)
     if d > MINOR_DIM_LIMIT:
         raise DimensionTooLargeForMinors(f"min dimension {d} exceeds {MINOR_DIM_LIMIT}")
-    if not 1 <= k <= d:
-        raise DegreeOutOfRange(f"cardinality {k} outside [1, {d}]")
-    row_sets = np.array(list(itertools.combinations(range(rows), k)))
-    column_sets = np.array(list(itertools.combinations(range(cols), k)))
-    count = len(row_sets) * len(column_sets)
-    total = 0.0
-    for start in range(0, count, _MINOR_CHUNK):
-        beta, gamma = np.divmod(np.arange(start, min(start + _MINOR_CHUNK, count)), len(column_sets))
-        block = a[row_sets[beta][:, :, None], column_sets[gamma][:, None, :]]
-        total += float(np.sum(np.abs(np.linalg.det(block)) ** 2))
-    return total
+    sums = np.zeros(d)
+    for k in range(1, d + 1):
+        row_sets = np.array(list(itertools.combinations(range(rows), k)))
+        column_sets = np.array(list(itertools.combinations(range(cols), k)))
+        count = len(row_sets) * len(column_sets)
+        for start in range(0, count, _MINOR_CHUNK):
+            beta, gamma = np.divmod(np.arange(start, min(start + _MINOR_CHUNK, count)), len(column_sets))
+            block = a[row_sets[beta][:, :, None], column_sets[gamma][:, None, :]]
+            sums[k - 1] += float(np.sum(np.abs(np.linalg.det(block)) ** 2))
+    return sums
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

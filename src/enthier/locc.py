@@ -62,10 +62,11 @@ _VERDICTS = {
 }
 
 
-def _prefix_sums(spectrum: np.ndarray, length: int) -> np.ndarray:
+def _padded(values: np.ndarray, length: int) -> np.ndarray:
+    """``values`` followed by zeros up to ``length`` entries."""
     padded = np.zeros(length)
-    padded[: spectrum.size] = spectrum
-    return np.cumsum(padded)
+    padded[: values.size] = values
+    return padded
 
 
 def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdict:
@@ -79,8 +80,8 @@ def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdi
     lam_source = schmidt_spectrum(source)
     lam_target = schmidt_spectrum(target)
     n = max(lam_source.size, lam_target.size)
-    ps = _prefix_sums(lam_source, n)
-    pt = _prefix_sums(lam_target, n)
+    ps = np.cumsum(_padded(lam_source, n))
+    pt = np.cumsum(_padded(lam_target, n))
     forward = bool(np.all(ps <= pt + PREFIX_TOL))
     backward = bool(np.all(pt <= ps + PREFIX_TOL))
     return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(map(float, ps)), tuple(map(float, pt)))
@@ -95,9 +96,7 @@ def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport
     cs = hierarchy(source)
     ct = hierarchy(target)
     n = max(cs.size, ct.size)
-    slacks = np.zeros(n)
-    slacks[: cs.size] += cs
-    slacks[: ct.size] -= ct
+    slacks = _padded(cs, n) - _padded(ct, n)
     return DominanceReport(
         slacks=tuple(map(float, slacks)),
         source_dominates=bool(np.all(slacks >= -SLACK_TOL)),

@@ -69,8 +69,7 @@ def hierarchy_via_minors(state: PureState) -> np.ndarray:
     agrees with the spectral route by the Cauchy-Binet formula. Min
     dimensions above MINOR_DIM_LIMIT are refused by ``minor_sum``.
     """
-    a = state.amplitudes
-    return np.array([minor_sum(a, k) for k in range(1, min(a.shape) + 1)])
+    return minor_sum(state.amplitudes)
 
 
 def invariants(state: PureState) -> np.ndarray:
@@ -130,12 +129,14 @@ def renyi_entropy(state: PureState, order: float) -> float:
     lam = schmidt_spectrum(state)
     lam = lam[lam > 0.0]
     if order == 1:
-        return float(-np.sum(lam * np.log2(lam)))
-    if order == math.inf:
-        return float(-np.log2(lam[0]))
-    top = lam[0]
-    scaled_sum = np.sum((lam / top) ** order)
-    return float(order / (1.0 - order) * np.log2(top) + np.log2(scaled_sum) / (1.0 - order))
+        value = -np.sum(lam * np.log2(lam))
+    elif order == math.inf:
+        value = -np.log2(lam[0])
+    else:
+        top = lam[0]
+        scaled_sum = np.sum((lam / top) ** order)
+        value = order / (1.0 - order) * np.log2(top) + np.log2(scaled_sum) / (1.0 - order)
+    return max(0.0, float(value))  # a product state gives -0.0
 
 
 def eof_pure(state: PureState) -> float:

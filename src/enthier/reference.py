@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import SelfCheckFailed
 from .linalg import bisect_root
 from .locc import hierarchy_dominance, nielsen_verdict
 from .measures import af_concurrence, eof_pure, hierarchy, hierarchy_via_minors
@@ -143,14 +142,6 @@ def build_report() -> tuple[dict, list[str]]:
     return results, [check["name"] for check in checks if not check["passed"]]
 
 
-def self_check() -> dict:
-    """Recompute every pinned value; raise SelfCheckFailed on any miss."""
-    results, failures = build_report()
-    if failures:
-        raise SelfCheckFailed("golden values missed tolerance: " + ", ".join(failures))
-    return results
-
-
 __all__ = [
     "SPECTRUM_MIXED_SOURCE",
     "SPECTRUM_MIXED_TARGET",
@@ -162,5 +153,4 @@ __all__ = [
     "unit_eof_equation",
     "solve_unit_eof_x",
     "build_report",
-    "self_check",
 ]

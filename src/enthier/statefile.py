@@ -30,7 +30,7 @@ def _is_number(value) -> bool:
 def _load_document(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
     def finite(literal: str) -> float:
@@ -48,6 +48,8 @@ def _load_document(path) -> dict:
         document = json.loads(text, parse_float=finite, parse_int=integer, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be an object")
     return document

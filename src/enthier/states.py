@@ -31,16 +31,18 @@ def _normalized(values: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
     """``values`` divided by their norm, after the zero and norm-gate checks.
 
     The norm is taken on values / scale, scale the power of two just above
-    max |entry| (at most 2^1023, the largest finite one): the scaled squares
-    cannot overflow or all underflow, and power-of-two scaling is exact, so
-    dividing by scale, then by the scaled norm, gives the bits of dividing by
-    the plain norm whenever that norm is representable. Within
-    _RENORM_SKIP_TOL of 1 the values come back as given.
+    max |entry|, kept within [2^-1021, 2^1023] so that scale and the
+    reciprocal numpy divides a complex array by are both finite: the
+    scaled squares cannot overflow or all underflow, and power-of-two
+    scaling is exact, so dividing by scale, then by the scaled norm, gives
+    the bits of dividing by the plain norm whenever that norm is
+    representable. Within _RENORM_SKIP_TOL of 1 the values come back as
+    given.
     """
     peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
     if peak == 0.0:
         raise ZeroState(f"all {what} are zero")
-    scale = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
+    scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
     scaled_norm = float(np.linalg.norm(values / scale))
     norm = scale * scaled_norm
     if not renormalize and abs(norm - 1.0) > NORM_GATE:

@@ -133,6 +133,14 @@ def test_measure_renyi_nan_order_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_measure_renyi_zero_order_is_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    assert main(["measure", path, "--renyi", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orders must be positive" in captured.err
+
+
 def test_measure_renyi_infinite_and_large_orders_are_strict_json(tmp_path, capsys):
     path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
     assert main(["measure", path, "--renyi", "inf,1e6", "--json"]) == 0
@@ -188,8 +196,34 @@ def test_measure_coefficients_near_float_max(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_measure_renormalizes_subnormal_amplitude(tmp_path, capsys):
+    doc = {"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 5e-324}]}
+    path = write_json(tmp_path, "tiny.json", doc)
+    code, payload = run_json(capsys, ["measure", path, "--renormalize"])
+    assert code == 0
+    assert payload["results"]["schmidt_spectrum"] == [1.0, 0.0]
+    assert capsys.readouterr().err == ""
+    assert main(["measure", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "norm 5e-324" in err[0]
+
+
 def test_measure_missing_file_is_parse_error(capsys):
     assert main(["measure", "/nonexistent/state.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{", "cannot read"), (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply")],
+    ids=["non-utf8", "nested"],
+)
+def test_measure_undecodable_document_is_parse_error(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["measure", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_measure_product_state_table(tmp_path, capsys):
@@ -202,6 +236,17 @@ def test_measure_product_state_table(tmp_path, capsys):
     assert results["hierarchy"][1:] == [0.0]
     assert results["eof"] == 0.0
     assert results["schmidt_rank"] == 1
+
+
+def test_measure_product_state_entropies_print_positive_zero(tmp_path, capsys):
+    path = write_json(tmp_path, "product.json", {"dims": [2, 2], "schmidt": [1, 0]})
+    assert main(["measure", path]) == 0
+    out = capsys.readouterr().out
+    assert "eof: 0\n" in out and "-0" not in out
+    code, payload = run_json(capsys, ["measure", path])
+    assert code == 0
+    for value in [payload["results"]["eof"], *payload["results"]["renyi"].values()]:
+        assert math.copysign(1.0, value) == 1.0
 
 
 def test_measure_malformed_document_is_parse_error(tmp_path, capsys):
@@ -322,6 +367,17 @@ def test_scan_negative_seed_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_scan_out_of_memory_is_domain_error(monkeypatch, capsys):
+    def exhausted(dim_a, dim_b, rng):
+        raise MemoryError("cannot allocate the amplitudes")
+
+    monkeypatch.setattr("enthier.cli.random_pure", exhausted)
+    assert main(["scan", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: cannot allocate the amplitudes\n"
+
+
 def test_scan_counts_pinned_at_seed_zero(capsys):
     code, payload = run_json(capsys, ["scan", "--dims", "3", "--samples", "300", "--seed", "0"])
     assert code == 0
@@ -383,13 +439,6 @@ def test_paper_examples_dominance_label_comes_from_the_report(monkeypatch):
     results, failures = enthier.reference.build_report()
     assert results["verdicts"]["mixed_pair"]["dominance"] != "mixed"
     assert failures == ["mixed pair dominance mixed"]
-
-
-def test_self_check_passes_as_library_call():
-    from enthier.reference import self_check
-
-    results = self_check()
-    assert results["checks"]
 
 
 # ------------------------------------------------------- schmidt/emit-state

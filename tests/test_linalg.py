@@ -6,7 +6,6 @@ import pytest
 
 from enthier import linalg
 from enthier.errors import (
-    DegreeOutOfRange,
     DimensionTooLargeForMinors,
     NonFiniteInput,
     NoSignChange,
@@ -132,12 +131,12 @@ def test_elementary_symmetric_bit_identical_to_scalar_recurrence():
 def test_minor_sum_k1_is_squared_frobenius():
     rng = seeded_rng(110)
     m = random_complex(3, 4, rng)
-    assert abs(minor_sum(m, 1) - np.linalg.norm(m) ** 2) <= 1e-12
+    assert abs(minor_sum(m)[0] - np.linalg.norm(m) ** 2) <= 1e-12
 
 
 def test_minor_sum_golden_diagonal():
     a = np.diag([math.sqrt(0.5), math.sqrt(0.4), math.sqrt(0.1)])
-    assert abs(minor_sum(a, 2) - 0.29) <= 1e-12
+    assert abs(minor_sum(a)[1] - 0.29) <= 1e-12
 
 
 def test_cauchy_binet_identity():
@@ -146,9 +145,10 @@ def test_cauchy_binet_identity():
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         m = random_complex(rows, cols, rng) / math.sqrt(rows * cols)
-        squares = singular_values_squared(m)
-        for k, level in enumerate(elementary_symmetric(squares), start=1):
-            assert abs(minor_sum(m, k) - level) <= 1e-9
+        levels = elementary_symmetric(singular_values_squared(m))
+        sums = minor_sum(m)
+        assert sums.shape == levels.shape
+        assert np.max(np.abs(sums - levels)) <= 1e-9
 
 
 def test_minor_sum_of_square_matrix_is_squared_determinant():
@@ -157,25 +157,21 @@ def test_minor_sum_of_square_matrix_is_squared_determinant():
         dim = int(rng.integers(1, 7))
         m = random_complex(dim, dim, rng) / math.sqrt(dim)
         expected = abs(cofactor_determinant(m)) ** 2
-        assert abs(minor_sum(m, dim) - expected) <= 1e-10 * max(1.0, expected)
+        assert abs(minor_sum(m)[dim - 1] - expected) <= 1e-10 * max(1.0, expected)
 
 
 def test_minor_sum_independent_of_chunk_size(monkeypatch):
     rng = seeded_rng(112)
     m = random_complex(5, 6, rng) / math.sqrt(30)
-    whole = [minor_sum(m, k) for k in range(1, 6)]
+    whole = minor_sum(m)
     monkeypatch.setattr(linalg, "_MINOR_CHUNK", 7)
-    chunked = [minor_sum(m, k) for k in range(1, 6)]
+    chunked = minor_sum(m)
     assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
 
 
 def test_minor_sum_guards():
     with pytest.raises(DimensionTooLargeForMinors):
-        minor_sum(np.eye(13), 2)
-    with pytest.raises(DegreeOutOfRange):
-        minor_sum(np.eye(3), 0)
-    with pytest.raises(DegreeOutOfRange):
-        minor_sum(np.eye(3), 4)
+        minor_sum(np.eye(13))
 
 
 # ---------------------------------------------------------- random draws

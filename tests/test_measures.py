@@ -222,6 +222,8 @@ def test_renyi_product_state_any_order():
     product = from_amplitudes(2, 2, [(0, 1, 1.0)])
     for order in (0.5, 1, 2, 3.7):
         assert abs(renyi_entropy(product, order)) <= 1e-12
+    for order in (0.5, 1, 2, math.inf):
+        assert math.copysign(1.0, renyi_entropy(product, order)) == 1.0
 
 
 def test_renyi_continuous_at_order_one():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enthier.linalg import random_unitary, seeded_rng
-from enthier.locc import Verdict, hierarchy_dominance, nielsen_verdict
+from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     hierarchy,
@@ -28,16 +28,26 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+def rotated(state, rng):
+    return apply_local_unitary(state, random_unitary(state.dim_a, rng), random_unitary(state.dim_b, rng))
+
+
+def zero_padded(state, rows, cols):
+    a = np.zeros((state.dim_a + rows, state.dim_b + cols), dtype=complex)
+    a[: state.dim_a, : state.dim_b] = state.amplitudes
+    return PureState(a)
+
+
 @derandomized
 @given(dim_a=dims, dim_b=dims, seed=seeds)
 def test_routes_agree_and_are_local_unitary_invariant(dim_a, dim_b, seed):
     rng = seeded_rng(seed)
     state = random_pure(dim_a, dim_b, rng)
-    rotated = apply_local_unitary(state, random_unitary(dim_a, rng), random_unitary(dim_b, rng))
+    turned = rotated(state, rng)
     eig = hierarchy(state)
     for route in (hierarchy, hierarchy_via_minors, hierarchy_via_invariants):
         assert np.max(np.abs(route(state) - eig)) <= ROUTE_TOL
-        assert np.max(np.abs(route(rotated) - eig)) <= ROUTE_TOL
+        assert np.max(np.abs(route(turned) - eig)) <= ROUTE_TOL
 
 
 SWAPPED = {
@@ -62,6 +72,28 @@ def test_nielsen_verdict_and_dominance_are_antisymmetric(shape, twin, seed):
         forward.target_dominates,
         forward.source_dominates,
     )
+
+
+@derandomized
+@given(
+    shape=st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4),
+    padding=st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    twin=st.booleans(),
+    seed=seeds,
+)
+def test_nielsen_verdict_and_class_survive_local_unitaries_and_zero_padding(shape, padding, twin, seed):
+    rng = seeded_rng(seed)
+    source = random_pure(shape[0], shape[1], rng)
+    target = source if twin else random_pure(shape[2], shape[3], rng)
+    expected = (nielsen_verdict(source, target).verdict, conversion_class(source, target))
+    variants = [
+        (rotated(source, rng), target),
+        (source, rotated(target, rng)),
+        (zero_padded(source, *padding), target),
+        (source, zero_padded(target, *padding)),
+    ]
+    for first, second in variants:
+        assert (nielsen_verdict(first, second).verdict, conversion_class(first, second)) == expected
 
 
 @derandomized
