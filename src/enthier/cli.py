@@ -187,7 +187,22 @@ def _cmd_emit_state(args) -> tuple[str, int]:
     return f"wrote {args.output}", 0
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Parsing never writes to the parser, and no handler writes to the parsed
+    defaults, so calls in one process stay independent.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _make_parser()
+    return _PARSER
+
+
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enthier",
         description="Concurrence hierarchies, Schmidt spectra, and LOCC convertibility.",
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument(
         "--renyi",
         type=_renyi_orders,
-        default=[0.5, 1.0, 2.0],
+        default=(0.5, 1.0, 2.0),
         help="comma-separated positive Renyi orders, inf for the min-entropy (default 0.5,1,2)",
     )
     add_renormalize(measure)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import enthier
-from enthier.cli import main
+from enthier.cli import build_parser, main
 from enthier.linalg import seeded_rng
 from enthier.locc import hierarchy_dominance
 from enthier.measures import NEWTON_DIM_LIMIT
@@ -519,3 +519,35 @@ def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) != 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+def test_build_parser_returns_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_renyi_orders_do_not_carry_over_to_the_next_call(tmp_path, capsys):
+    path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    _, chosen = run_json(capsys, ["measure", path, "--renyi", "1,3"])
+    assert set(chosen["results"]["renyi"]) == {"1.0", "3.0"}
+    _, default = run_json(capsys, ["measure", path])
+    assert set(default["results"]["renyi"]) == {"0.5", "1.0", "2.0"}
+
+
+def test_version_twice(capsys):
+    for _ in range(2):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"enthier {enthier.__version__}\n"
+    assert enthier.__version__ == "0.1.0"
+
+
+def test_usage_error_leaves_the_next_scan_unchanged(capsys):
+    argv = ["scan", "--dims", "3", "--samples", "20", "--seed", "0", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["scan", "--seed", "-1"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enthier.linalg import random_unitary, seeded_rng
-from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict
+from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict, t_transform_source
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     hierarchy,
@@ -17,11 +17,13 @@ from enthier.measures import (
     wootters_concurrence,
     wootters_pure,
 )
+from enthier.reference import diagonal_state
 from enthier.statefile import parse_state, write_state
 from enthier.states import PureState, apply_local_unitary, density_matrix, random_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
 WOOTTERS_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 dims = st.integers(min_value=1, max_value=NEWTON_DIM_LIMIT)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -94,6 +96,47 @@ def test_nielsen_verdict_and_class_survive_local_unitaries_and_zero_padding(shap
     ]
     for first, second in variants:
         assert (nielsen_verdict(first, second).verdict, conversion_class(first, second)) == expected
+
+
+def graded_spectrum(d, decades, rng):
+    """Descending unit-sum spectrum whose lambda_min / lambda_max is 10**-decades."""
+    exponents = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, d - 2)), [1.0]))
+    spectrum = 10.0 ** (-decades * exponents)
+    return spectrum / math.fsum(spectrum)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(min_value=2, max_value=12),
+    decades=st.floats(min_value=0.0, max_value=14.0),
+    data=st.data(),
+    seed=seeds,
+)
+def test_hierarchy_does_not_increase_along_t_transform_chains(d, decades, data, seed):
+    # Schur-concavity of e_k: a T-transform chain only moves a spectrum down
+    # in the majorization order, so no level C_k may grow along it.
+    rng = seeded_rng(seed)
+    target = graded_spectrum(d, decades, rng)
+    steps = data.draw(st.integers(min_value=1, max_value=2 * d), label="steps")
+    source = t_transform_source(target, steps, rng)
+    slack = 4 * d * EPS
+    # (a) majorized, by correctly rounded prefix sums rather than through nielsen_verdict
+    for k in range(1, d + 1):
+        assert math.fsum(source[:k]) <= math.fsum(target[:k]) * (1 + slack)
+    assert abs(math.fsum(source) - math.fsum(target)) <= slack
+    # (b) every level, relative to its own size
+    c_source = hierarchy(diagonal_state(source))
+    c_target = hierarchy(diagonal_state(target))
+    assert np.all(c_source >= c_target * (1 - slack))
+
+
+def test_scan_class_survives_local_unitaries_at_d12():
+    rng = seeded_rng(0)
+    for _ in range(200):
+        source, target = random_pure(12, 12, rng), random_pure(12, 12, rng)
+        expected = conversion_class(source, target)
+        assert conversion_class(rotated(source, rng), target) == expected
+        assert conversion_class(source, rotated(target, rng)) == expected
 
 
 @derandomized
