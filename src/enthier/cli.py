@@ -8,11 +8,9 @@ stdout closed by its reader, 2 parse/usage error, 3 self-check failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -53,10 +51,6 @@ _HIERARCHY_PATHS = {
 }
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _report(args, results: dict, **provenance) -> ReportDocument:
     return ReportDocument(args.command, results, {"tool": "enthier", "version": __version__, **provenance})
 
@@ -89,7 +83,7 @@ def _int_at_least(lowest: int):
 
 
 def _cmd_measure(args) -> tuple[ReportDocument, int]:
-    state = parse_state(args.state, renormalize=args.renormalize)
+    state, digest = parse_state(args.state, renormalize=args.renormalize)
     spectrum = schmidt_spectrum(state)
     levels = _HIERARCHY_PATHS[args.path](state)
     results = {
@@ -104,12 +98,12 @@ def _cmd_measure(args) -> tuple[ReportDocument, int]:
         "af_concurrence": af_concurrence(state),
         "rungta_concurrence": rungta_concurrence(state),
     }
-    return _report(args, results, input_digest=_digest(args.state)), 0
+    return _report(args, results, input_digest=digest), 0
 
 
 def _cmd_locc(args) -> tuple[ReportDocument, int]:
-    source = parse_state(args.source, renormalize=args.renormalize)
-    target = parse_state(args.target, renormalize=args.renormalize)
+    source, source_digest = parse_state(args.source, renormalize=args.renormalize)
+    target, target_digest = parse_state(args.target, renormalize=args.renormalize)
     verdict = nielsen_verdict(source, target)
     dominance = hierarchy_dominance(source, target)
     results = {
@@ -124,12 +118,11 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
         },
         "conversion_class": conversion_class(source, target),
     }
-    provenance = {"source_digest": _digest(args.source), "target_digest": _digest(args.target)}
-    return _report(args, results, **provenance), 0
+    return _report(args, results, source_digest=source_digest, target_digest=target_digest), 0
 
 
 def _cmd_wootters(args) -> tuple[ReportDocument, int]:
-    rho = parse_density(args.density)
+    rho, digest = parse_density(args.density)
     lambdas = spin_flip_lambdas(rho)
     concurrence = wootters_concurrence(rho)
     results = {
@@ -138,11 +131,11 @@ def _cmd_wootters(args) -> tuple[ReportDocument, int]:
         "lambdas": [float(v) for v in lambdas],
         "ppt": ppt_check(rho).value,
     }
-    return _report(args, results, input_digest=_digest(args.density)), 0
+    return _report(args, results, input_digest=digest), 0
 
 
 def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
-    state = parse_state(args.state, renormalize=args.renormalize)
+    state, digest = parse_state(args.state, renormalize=args.renormalize)
     spectrum = schmidt_spectrum(state)
     results = {
         "dims": [state.dim_a, state.dim_b],
@@ -150,7 +143,7 @@ def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
         "schmidt_spectrum": [float(v) for v in spectrum],
         "schmidt_rank": schmidt_rank(spectrum),
     }
-    return _report(args, results, input_digest=_digest(args.state)), 0
+    return _report(args, results, input_digest=digest), 0
 
 
 def _cmd_scan(args) -> tuple[ReportDocument, int]:
@@ -177,7 +170,7 @@ def _cmd_paper_examples(args) -> tuple[ReportDocument, int]:
 
 
 def _cmd_emit_state(args) -> tuple[str, int]:
-    state = parse_state(args.state, renormalize=args.renormalize)
+    state, _ = parse_state(args.state, renormalize=args.renormalize)
     if not args.output:
         return json.dumps(state_document(state), indent=2), 0
     try:

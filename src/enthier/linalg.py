@@ -2,11 +2,12 @@
 
 The three concurrence-hierarchy routes in ``measures`` each rest on a
 different kernel, so a fault in one shows up as a disagreement between
-routes rather than cancelling out: the spectral route on the Hermitian
-eigensolver (``singular_values_squared``, LAPACK heevd via ``eigvalsh``),
+routes rather than cancelling out: the spectral route on the SVD of the
+amplitudes (``singular_values_squared``, LAPACK gesdd through ``svd``),
 the minor route on LU determinants of stacked submatrices (``minor_sum``,
-LAPACK getrf), and the Newton route on matrix products and traces (BLAS).
-Only the e_k recurrence and the minor enumeration are written out here.
+LAPACK getrf), and the Newton route on powers and traces of the Gram
+matrix (BLAS), which no other route forms. Only the e_k recurrence and
+the minor enumeration are written out here.
 """
 
 from __future__ import annotations
@@ -75,17 +76,16 @@ def clamp_nonnegative(values) -> np.ndarray:
 
 
 def singular_values_squared(matrix) -> np.ndarray:
-    """Squared singular values, descending, clamped to be nonnegative.
+    """Squared singular values, descending and nonnegative, min(rows, cols)
+    of them, from one SVD of the matrix itself.
 
-    Diagonalizes the smaller of the two Gram matrices, so the result has
-    min(rows, cols) entries.
+    No Gram product is formed, so sigma_i**2 keeps a relative error of about
+    eps * sigma_1 / sigma_i rather than eps * (sigma_1 / sigma_i)**2.
     """
-    a = as_complex_matrix(matrix)
-    rows, cols = a.shape
-    gram = a @ a.conj().T if rows <= cols else a.conj().T @ a
-    gram = 0.5 * (gram + gram.conj().T)
-    # Hermitian by construction; only the product can overflow to non-finite.
-    return clamp_nonnegative(np.linalg.eigvalsh(as_complex_matrix(gram))[::-1])
+    squares = np.linalg.svd(as_complex_matrix(matrix), compute_uv=False) ** 2
+    if not np.all(np.isfinite(squares)):
+        raise NonFiniteInput("squared singular values overflow")
+    return squares
 
 
 def elementary_symmetric(values) -> np.ndarray:

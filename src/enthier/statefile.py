@@ -8,6 +8,7 @@ coefficients placed on the diagonal). A density document carries
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -27,9 +28,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_document(path) -> dict:
+def _load_document(path) -> tuple[dict, str]:
+    """The JSON object in a UTF-8 file, read once, and the SHA-256 of its bytes."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -52,7 +55,7 @@ def _load_document(path) -> dict:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return document
+    return document, hashlib.sha256(data).hexdigest()
 
 
 def _parse_dims(document: dict, path, expected_rank: int) -> list[int]:
@@ -85,14 +88,15 @@ def _parse_entry(entry, position: int, path) -> tuple[int, int, complex]:
     return entry["i"], entry["j"], complex(entry["re"], entry.get("im", 0.0))
 
 
-def parse_state(path, renormalize: bool = False) -> PureState:
+def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
     """Read a state document; see the module docstring for the format.
+    Returns the state and the SHA-256 hex digest of the file's bytes.
 
     Structural problems raise ParseError naming the offending field;
     domain violations (normalization, index range, duplicates) raise
     their own error types.
     """
-    document = _load_document(path)
+    document, digest = _load_document(path)
     unknown = set(document) - _STATE_KEYS
     if unknown:
         raise ParseError(f"{path}: unexpected field {sorted(unknown)[0]!r}")
@@ -107,7 +111,7 @@ def parse_state(path, renormalize: bool = False) -> PureState:
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{path}: 'amplitudes' must be a non-empty list")
         entries = [_parse_entry(entry, pos, path) for pos, entry in enumerate(raw)]
-        return from_amplitudes(dims[0], dims[1], entries, renormalize=renormalize)
+        return from_amplitudes(dims[0], dims[1], entries, renormalize=renormalize), digest
 
     raw = document["schmidt"]
     if not isinstance(raw, list) or not raw:
@@ -116,12 +120,13 @@ def parse_state(path, renormalize: bool = False) -> PureState:
         raise ParseError(f"{path}: 'schmidt' entries must be numbers")
     if dims != [len(raw), len(raw)]:
         raise ParseError(f"{path}: 'dims' must equal [{len(raw)}, {len(raw)}] for {len(raw)} schmidt coefficients")
-    return from_schmidt(raw, renormalize=renormalize)
+    return from_schmidt(raw, renormalize=renormalize), digest
 
 
-def parse_density(path) -> np.ndarray:
-    """Read a two-qubit density document into a 4x4 complex array."""
-    document = _load_document(path)
+def parse_density(path) -> tuple[np.ndarray, str]:
+    """Read a two-qubit density document into a 4x4 complex array, with
+    the SHA-256 hex digest of the file's bytes."""
+    document, digest = _load_document(path)
     unknown = set(document) - _DENSITY_KEYS
     if unknown:
         raise ParseError(f"{path}: unexpected field {sorted(unknown)[0]!r}")
@@ -138,7 +143,7 @@ def parse_density(path) -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(part) for part in pair):
             raise ParseError(f"{path}: matrix[{position}] must be a [re, im] pair")
         values.append(complex(pair[0], pair[1]))
-    return np.array(values, dtype=complex).reshape(4, 4)
+    return np.array(values, dtype=complex).reshape(4, 4), digest
 
 
 def state_document(state: PureState) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -519,6 +520,24 @@ def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) != 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_piped_input_digest_is_the_digest_of_the_parsed_bytes(tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(MIXED_SOURCE_DOC))
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    src = str(Path(enthier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def piped(*args):  # input= feeds a pipe, which can be read only once
+        command = [sys.executable, "-m", "enthier", *args, "--json"]
+        proc = subprocess.run(command, input=path.read_bytes(), capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["provenance"]
+
+    assert piped("measure", "/dev/stdin")["input_digest"] == expected
+    provenance = piped("locc", "/dev/stdin", str(path))
+    assert provenance["source_digest"] == provenance["target_digest"] == expected
 
 
 # ------------------------------------------------------------ parser reuse

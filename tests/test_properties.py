@@ -3,7 +3,9 @@
 import math
 import struct
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +132,41 @@ def test_hierarchy_does_not_increase_along_t_transform_chains(d, decades, data, 
     assert np.all(c_source >= c_target * (1 - slack))
 
 
+def relative_gap(levels, reference):
+    return float(np.max(np.abs(levels - reference) / reference))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(min_value=2, max_value=8), decades=st.floats(min_value=0.0, max_value=10.0), seed=seeds)
+def test_routes_agree_per_level_on_graded_states(d, decades, seed):
+    # The top levels are products of the smallest lambda_i, so an absolute
+    # tolerance cannot see their errors; compare each level to its own size.
+    rng = seeded_rng(seed)
+    state = rotated(diagonal_state(graded_spectrum(d, decades, rng)), rng)
+    assert relative_gap(hierarchy(state), hierarchy_via_minors(state)) <= 1e-9
+
+
+def mpmath_hierarchy(amplitudes):
+    """e_1..e_d of the unit-sum squared singular values, at 60 digits."""
+    with mpmath.workdps(60):
+        sigma = mpmath.svd_c(mpmath.matrix(amplitudes.tolist()), compute_uv=False)
+        squares = [s**2 for s in sigma]
+        total = mpmath.fsum(squares)
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(squares)
+        for value in squares:
+            for k in range(len(squares), 0, -1):
+                e[k] += value / total * e[k - 1]
+        return np.array([float(level) for level in e[1:]])
+
+
+@pytest.mark.parametrize("decades", [8, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hierarchy_matches_60_digit_reference_at_d12(decades, seed):
+    rng = seeded_rng((decades, seed))
+    state = rotated(diagonal_state(graded_spectrum(12, decades, rng)), rng)
+    assert relative_gap(hierarchy(state), mpmath_hierarchy(state.amplitudes)) <= 1e-9
+
+
 def test_scan_class_survives_local_unitaries_at_d12():
     rng = seeded_rng(0)
     for _ in range(200):
@@ -173,4 +210,4 @@ def test_state_file_round_trip_is_bit_exact(tmp_path_factory, data, dim_a, dim_b
     state = PureState(a)
     path = tmp_path_factory.mktemp("state") / "state.json"
     write_state(state, path)
-    assert bits(parse_state(path).amplitudes) == bits(state.amplitudes)
+    assert bits(parse_state(path)[0].amplitudes) == bits(state.amplitudes)

@@ -21,7 +21,7 @@ def test_parse_schmidt_document_six_digit_coefficients(tmp_path):
     path = write_doc(
         tmp_path, "psi.json", {"dims": [3, 3], "schmidt": [0.707107, 0.632456, 0.316228]}
     )
-    state = parse_state(path)
+    state, _ = parse_state(path)
     assert np.allclose(schmidt_spectrum(state), [0.5, 0.4, 0.1], atol=1e-6)
 
 
@@ -29,14 +29,14 @@ def test_parse_amplitude_document(tmp_path):
     path = write_doc(
         tmp_path, "product.json", {"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1, "im": 0}]}
     )
-    state = parse_state(path)
+    state, _ = parse_state(path)
     assert state.amplitudes[0, 0] == 1.0
     assert state.dim_a == 2 and state.dim_b == 2
 
 
 def test_parse_amplitude_im_optional(tmp_path):
     path = write_doc(tmp_path, "s.json", {"dims": [2, 2], "amplitudes": [{"i": 1, "j": 1, "re": 1}]})
-    assert parse_state(path).amplitudes[1, 1] == 1.0
+    assert parse_state(path)[0].amplitudes[1, 1] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -96,7 +96,7 @@ def test_state_round_trip_exact(tmp_path):
         state = random_pure(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
         path = tmp_path / f"state{index}.json"
         write_state(state, path)
-        recovered = parse_state(path)
+        recovered, _ = parse_state(path)
         assert recovered == state  # bit-identical amplitudes after JSON round trip
 
 
@@ -117,7 +117,7 @@ def test_parse_density_roundtrip(tmp_path):
         "matrix": [[float(rho[i, j].real), float(rho[i, j].imag)] for i in range(4) for j in range(4)],
     }
     path = write_doc(tmp_path, "rho.json", payload)
-    assert np.array_equal(parse_density(path), rho.astype(complex))
+    assert np.array_equal(parse_density(path)[0], rho.astype(complex))
 
 
 @pytest.mark.parametrize(
