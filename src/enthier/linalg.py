@@ -4,10 +4,10 @@ The three concurrence-hierarchy routes in ``measures`` each rest on a
 different kernel, so a fault in one shows up as a disagreement between
 routes rather than cancelling out: the spectral route on the SVD of the
 amplitudes (``singular_values_squared``, LAPACK gesdd through ``svd``),
-the minor route on LU determinants of stacked submatrices (``minor_sum``,
-LAPACK getrf), and the Newton route on powers and traces of the Gram
-matrix (BLAS), which no other route forms. Only the e_k recurrence and
-the minor enumeration are written out here.
+the minor route on Householder QR factors of column subsets (``minor_sum``,
+LAPACK geqrf through ``qr``), and the Newton route on powers and traces of
+the Gram matrix (BLAS), which no other route forms. Only the e_k
+recurrence and the column-subset enumeration are written out here.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ UNITARY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10
 MINOR_DIM_LIMIT = 12
 
-# Minors per np.linalg.det call in minor_sum. Bounds the stacked submatrices
-# to 1024 * 12 * 12 complex entries (~2.4 MB); the unchunked k=6 stack at
-# d=12 holds 853776 minors (~0.5 GB). Larger chunks run no faster at d <= 12
-# and raise peak memory.
+# Column subsets per stacked np.linalg.qr call in minor_sum. Bounds each
+# stack to 1024 * d * k complex entries (~1.2 MB at d = 12, k = 6). At
+# d <= 12 there are at most C(12, 6) = 924 subsets per level, so one call
+# covers a level.
 _MINOR_CHUNK = 1024
 
 
@@ -108,24 +108,32 @@ def minor_sum(matrix) -> np.ndarray:
     """Sums of |det M(beta, gamma)|^2 over all k-subsets of rows and columns,
     for every level k = 1..min(rows, cols).
 
-    Combinatorial cross-check path: C(rows,k) C(cols,k) LU determinants
-    per level, taken _MINOR_CHUNK submatrices at a time; refuses matrices
-    with min dimension above 12.
+    Combinatorial cross-check path, with no Gram product and no SVD. T is
+    the matrix, or its conjugate transpose when rows < cols, so that T is
+    N x d with N >= d; one Householder QR reduces it to its d x d factor
+    R0. By Cauchy-Binet, the sum over row subsets beta for a column subset
+    gamma is det(R0_gamma^dagger R0_gamma) = |det R_gamma|^2, where R_gamma
+    is the R factor of R0[:, gamma]: the product of |diag R_gamma|^2. So
+    level k takes C(d, k) small QRs, stacked _MINOR_CHUNK at a time. Level
+    1 is the squared Frobenius norm and level d is prod |diag R0|^2.
+    Refuses matrices with min dimension above 12.
     """
     a = as_complex_matrix(matrix)
     rows, cols = a.shape
     d = min(rows, cols)
     if d > MINOR_DIM_LIMIT:
         raise DimensionTooLargeForMinors(f"min dimension {d} exceeds {MINOR_DIM_LIMIT}")
+    r0 = np.linalg.qr(a if rows >= cols else a.conj().T, mode="r")
     sums = np.zeros(d)
-    for k in range(1, d + 1):
-        row_sets = np.array(list(itertools.combinations(range(rows), k)))
-        column_sets = np.array(list(itertools.combinations(range(cols), k)))
-        count = len(row_sets) * len(column_sets)
-        for start in range(0, count, _MINOR_CHUNK):
-            beta, gamma = np.divmod(np.arange(start, min(start + _MINOR_CHUNK, count)), len(column_sets))
-            block = a[row_sets[beta][:, :, None], column_sets[gamma][:, None, :]]
-            sums[k - 1] += float(np.sum(np.abs(np.linalg.det(block)) ** 2))
+    # Slices, so an empty matrix gives no levels; at d = 1 level 1 wins.
+    sums[-1:] = float(np.prod(np.abs(np.diagonal(r0)) ** 2))
+    sums[:1] = float(np.sum(np.abs(a) ** 2))
+    for k in range(2, d):
+        column_sets = np.array(list(itertools.combinations(range(d), k)))
+        for start in range(0, len(column_sets), _MINOR_CHUNK):
+            block = r0[:, column_sets[start : start + _MINOR_CHUNK]].transpose(1, 0, 2)
+            diagonals = np.abs(np.diagonal(np.linalg.qr(block, mode="r"), axis1=1, axis2=2))
+            sums[k - 1] += float(np.sum(np.prod(diagonals, axis=1) ** 2))
     return sums
 
 

@@ -7,7 +7,8 @@ numerics, so each cross-checks the others:
 * ``hierarchy``: the squared singular values of the amplitude matrix
   (one LAPACK SVD), then the e_k recurrence;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
-  (Cauchy-Binet), each an LAPACK LU determinant;
+  (Cauchy-Binet), summed over row subsets by one Householder QR per
+  column subset (LAPACK geqrf, no Gram matrix, no SVD);
 * ``hierarchy_via_invariants``: traces of powers of the Gram matrix (BLAS
   products, no eigensolver), then Newton's identities. It loses relative
   accuracy on the top levels as d grows, so it refuses d above
@@ -68,8 +69,10 @@ def hierarchy_via_minors(state: PureState) -> np.ndarray:
     """The hierarchy as squared minor sums of the amplitude matrix.
 
     C_k = sum over k-subsets beta, gamma of |det A(beta, gamma)|^2, which
-    agrees with the spectral route by the Cauchy-Binet formula. Min
-    dimensions above MINOR_DIM_LIMIT are refused by ``minor_sum``.
+    agrees with the spectral route by the Cauchy-Binet formula.
+    ``minor_sum`` takes the sum over beta for each gamma as the squared
+    determinant of one small QR factor, so level k costs C(d, k) QRs.
+    Min dimensions above MINOR_DIM_LIMIT are refused by ``minor_sum``.
     """
     return minor_sum(state.amplitudes)
 

@@ -492,11 +492,19 @@ def test_json_values_match_human_table_source(tmp_path, capsys):
     assert format(c2, ".6g") in table
 
 
+def child_env():
+    """The environment for a child `python -m enthier`: this package's
+    source directory on PYTHONPATH, so an uninstalled checkout runs too."""
+    src = str(Path(enthier.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "enthier", "paper-examples", "--json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -506,13 +514,11 @@ def test_module_entry_point_smoke():
 def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
     path = tmp_path / "big.json"
     write_state(random_pure(40, 40, seeded_rng(5)), path)  # ~180 kB, beyond a pipe buffer
-    src = str(Path(enthier.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "enthier", "emit-state", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert proc.stdout.readline().strip() == b"{"
     proc.stdout.close()
@@ -526,12 +532,10 @@ def test_piped_input_digest_is_the_digest_of_the_parsed_bytes(tmp_path):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(MIXED_SOURCE_DOC))
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
-    src = str(Path(enthier.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
     def piped(*args):  # input= feeds a pipe, which can be read only once
         command = [sys.executable, "-m", "enthier", *args, "--json"]
-        proc = subprocess.run(command, input=path.read_bytes(), capture_output=True, env=env)
+        proc = subprocess.run(command, input=path.read_bytes(), capture_output=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)["provenance"]
 

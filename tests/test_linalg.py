@@ -151,6 +151,13 @@ def test_cauchy_binet_identity():
         assert np.max(np.abs(sums - levels)) <= 1e-9
 
 
+@pytest.mark.parametrize("shape", [(3, 400), (400, 3), (12, 30)])
+def test_minor_sum_matches_spectral_route_per_level_on_rectangular_input(shape):
+    m = random_complex(*shape, seeded_rng(shape)) / math.sqrt(shape[0] * shape[1])
+    levels = elementary_symmetric(singular_values_squared(m))
+    assert np.max(np.abs(minor_sum(m) - levels) / levels) <= 1e-12
+
+
 def test_minor_sum_of_square_matrix_is_squared_determinant():
     rng = seeded_rng(107)
     for _ in range(25):

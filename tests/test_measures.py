@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from enthier import measures, states
+from enthier import linalg, measures, states
 from enthier.errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
@@ -161,12 +161,15 @@ def test_minor_and_newton_routes_call_no_eigensolver(monkeypatch):
         cases.append((state.amplitudes, hierarchy(state)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigensolver called")
+        raise AssertionError("eigensolver or SVD called")
 
     monkeypatch.setattr(states, "schmidt_spectrum", refuse)
     monkeypatch.setattr(measures, "schmidt_spectrum", refuse)
+    monkeypatch.setattr(linalg, "singular_values_squared", refuse)
+    monkeypatch.setattr(measures, "singular_values_squared", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     for amplitudes, eig in cases:
         fresh = states.PureState(amplitudes)  # no cached spectrum
         assert np.allclose(hierarchy_via_minors(fresh), eig, atol=1e-8)

@@ -146,6 +146,14 @@ def test_routes_agree_per_level_on_graded_states(d, decades, seed):
     assert relative_gap(hierarchy(state), hierarchy_via_minors(state)) <= 1e-9
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(min_value=9, max_value=12), decades=st.floats(min_value=0.0, max_value=10.0), seed=seeds)
+def test_routes_agree_per_level_on_graded_states_up_to_the_minor_guard(d, decades, seed):
+    rng = seeded_rng(seed)
+    state = rotated(diagonal_state(graded_spectrum(d, decades, rng)), rng)
+    assert relative_gap(hierarchy(state), hierarchy_via_minors(state)) <= 1e-9
+
+
 def mpmath_hierarchy(amplitudes):
     """e_1..e_d of the unit-sum squared singular values, at 60 digits."""
     with mpmath.workdps(60):
@@ -164,7 +172,9 @@ def mpmath_hierarchy(amplitudes):
 def test_hierarchy_matches_60_digit_reference_at_d12(decades, seed):
     rng = seeded_rng((decades, seed))
     state = rotated(diagonal_state(graded_spectrum(12, decades, rng)), rng)
-    assert relative_gap(hierarchy(state), mpmath_hierarchy(state.amplitudes)) <= 1e-9
+    reference = mpmath_hierarchy(state.amplitudes)
+    assert relative_gap(hierarchy(state), reference) <= 1e-9
+    assert relative_gap(hierarchy_via_minors(state), reference) <= 1e-9
 
 
 def test_scan_class_survives_local_unitaries_at_d12():
