@@ -68,5 +68,6 @@ from .states import (
     from_schmidt,
     random_pure,
     schmidt_rank,
+    schmidt_spectra,
     schmidt_spectrum,
 )

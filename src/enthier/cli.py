@@ -42,13 +42,19 @@ from .measures import (
 from .reference import build_report
 from .report import ReportDocument
 from .statefile import parse_density, parse_state, state_document, write_state
-from .states import random_pure, schmidt_rank, schmidt_spectrum
+from .states import random_pure, schmidt_rank, schmidt_spectra, schmidt_spectrum
 
 _HIERARCHY_PATHS = {
     "eig": hierarchy,
     "minors": hierarchy_via_minors,
     "newton": hierarchy_via_invariants,
 }
+
+# Amplitude entries per stacked SVD in scan: a chunk holds this many // (2 d^2)
+# pairs, at least one. Bounds the stack to 2^16 complex entries (1 MB), so
+# scan --dims 48 --samples 2000 takes 14 pairs at a time instead of stacking
+# 147 MB; at d = 3 one chunk covers 3640 pairs.
+_SCAN_CHUNK_ENTRIES = 1 << 16
 
 
 def _report(args, results: dict, **provenance) -> ReportDocument:
@@ -148,11 +154,15 @@ def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
 
 def _cmd_scan(args) -> tuple[ReportDocument, int]:
     counts = {COMPARABLE: 0, INCOMPARABLE_MIXED: 0, INCOMPARABLE_FULL: 0}
-    for index in range(args.samples):
-        rng = seeded_rng((args.seed, index))  # per-sample stream: schedule-independent
-        first = random_pure(args.dims, args.dims, rng)
-        second = random_pure(args.dims, args.dims, rng)
-        counts[conversion_class(first, second)] += 1
+    pairs_per_chunk = max(1, _SCAN_CHUNK_ENTRIES // (2 * args.dims * args.dims))
+    for start in range(0, args.samples, pairs_per_chunk):
+        pairs = []
+        for index in range(start, min(start + pairs_per_chunk, args.samples)):
+            rng = seeded_rng((args.seed, index))  # per-sample stream: schedule-independent
+            pairs.append((random_pure(args.dims, args.dims, rng), random_pure(args.dims, args.dims, rng)))
+        schmidt_spectra([state for pair in pairs for state in pair])  # fills each state's cache
+        for first, second in pairs:
+            counts[conversion_class(first, second)] += 1
     results = {
         "dims": args.dims,
         "samples": args.samples,

@@ -8,6 +8,10 @@ the minor route on Householder QR factors of column subsets (``minor_sum``,
 LAPACK geqrf through ``qr``), and the Newton route on powers and traces of
 the Gram matrix (BLAS), which no other route forms. Only the e_k
 recurrence and the column-subset enumeration are written out here.
+
+The SVD kernel takes a stack of matrices in one call, and a single matrix
+is a stack of one. ``scan`` gets the spectra of a chunk of pairs, at most
+2^16 amplitude entries, from one call.
 """
 
 from __future__ import annotations
@@ -75,15 +79,24 @@ def clamp_nonnegative(values) -> np.ndarray:
     return v
 
 
-def singular_values_squared(matrix) -> np.ndarray:
-    """Squared singular values, descending and nonnegative, min(rows, cols)
-    of them, from one SVD of the matrix itself.
+def singular_values_squared(matrices) -> np.ndarray:
+    """Squared singular values of a matrix or of a stack of them: for input
+    of shape (..., rows, cols), an array of shape (..., min(rows, cols)),
+    each row descending and nonnegative, from one SVD call over the stack.
 
-    No Gram product is formed, so sigma_i**2 keeps a relative error of about
-    eps * sigma_1 / sigma_i rather than eps * (sigma_1 / sigma_i)**2.
+    A 2-D matrix is a stack of one. numpy runs LAPACK gesdd on each matrix
+    of the stack in turn, so every row has the bits a call on that matrix
+    alone would give. No Gram product is formed, so sigma_i**2 keeps a
+    relative error of about eps * sigma_1 / sigma_i rather than
+    eps * (sigma_1 / sigma_i)**2.
     """
-    squares = np.linalg.svd(as_complex_matrix(matrix), compute_uv=False) ** 2
-    if not np.all(np.isfinite(squares)):
+    a = np.asarray(matrices, dtype=complex)
+    if a.ndim < 2:
+        raise NonSquareMatrix(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("matrix contains non-finite entries")
+    squares = np.linalg.svd(a, compute_uv=False) ** 2
+    if not np.isfinite(squares).all():
         raise NonFiniteInput("squared singular values overflow")
     return squares
 

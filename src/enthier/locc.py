@@ -64,6 +64,8 @@ _VERDICTS = {
 
 def _padded(values: np.ndarray, length: int) -> np.ndarray:
     """``values`` followed by zeros up to ``length`` entries."""
+    if values.size == length:
+        return values
     padded = np.zeros(length)
     padded[: values.size] = values
     return padded
@@ -84,7 +86,7 @@ def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdi
     pt = np.cumsum(_padded(lam_target, n))
     forward = bool(np.all(ps <= pt + PREFIX_TOL))
     backward = bool(np.all(pt <= ps + PREFIX_TOL))
-    return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(map(float, ps)), tuple(map(float, pt)))
+    return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(ps.tolist()), tuple(pt.tolist()))
 
 
 def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport:
@@ -98,7 +100,7 @@ def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport
     n = max(cs.size, ct.size)
     slacks = _padded(cs, n) - _padded(ct, n)
     return DominanceReport(
-        slacks=tuple(map(float, slacks)),
+        slacks=tuple(slacks.tolist()),
         source_dominates=bool(np.all(slacks >= -SLACK_TOL)),
         target_dominates=bool(np.all(slacks <= SLACK_TOL)),
     )

@@ -127,18 +127,38 @@ def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
     return PureState(a)
 
 
+def schmidt_spectra(states) -> np.ndarray:
+    """Schmidt spectra of one or more same-shape states, as an (n, d) array
+    with d = min(dim_a, dim_b): each row descending, renormalized to unit sum.
+
+    One stacked SVD serves the whole batch, and each row is stored as that
+    state's cached spectrum, so later ``schmidt_spectrum`` calls on these
+    states do no linear algebra. Rows have the bits of a batch of one.
+    """
+    states = list(states)
+    shapes = {state.amplitudes.shape for state in states}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
+    values = singular_values_squared(np.array([state.amplitudes for state in states]))
+    # Each sum is a squared norm, which PureState holds within ~2e-9 of 1.
+    values /= values.sum(axis=1, keepdims=True)
+    values.setflags(write=False)  # rows are views, so the cached spectra are read-only too
+    for state, row in zip(states, values):
+        object.__setattr__(state, "_spectrum", row)
+    return values
+
+
 def schmidt_spectrum(state: PureState) -> np.ndarray:
     """Descending eigenvalues of the reduced density matrix, renormalized
-    to unit sum. Length is min(dim_a, dim_b)."""
+    to unit sum. Length is min(dim_a, dim_b).
+
+    The spectrum is cached on the state; an uncached state is a batch of
+    one for ``schmidt_spectra``, so every spectrum comes from one kernel.
+    """
     cached = state._spectrum
     if cached is not None:
         return cached
-    # The sum is the squared norm, which PureState holds within ~2e-9 of 1.
-    values = singular_values_squared(state.amplitudes)
-    values = values / float(values.sum())
-    values.setflags(write=False)
-    object.__setattr__(state, "_spectrum", values)
-    return values
+    return schmidt_spectra([state])[0]
 
 
 def schmidt_rank(spectrum) -> int:
@@ -178,6 +198,7 @@ __all__ = [
     "PureState",
     "from_amplitudes",
     "from_schmidt",
+    "schmidt_spectra",
     "schmidt_spectrum",
     "schmidt_rank",
     "apply_local_unitary",

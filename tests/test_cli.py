@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import enthier
+from enthier import cli
 from enthier.cli import build_parser, main
 from enthier.linalg import seeded_rng
-from enthier.locc import hierarchy_dominance
+from enthier.locc import conversion_class, hierarchy_dominance
 from enthier.measures import NEWTON_DIM_LIMIT
 from enthier.statefile import write_state
 from enthier.states import density_matrix, from_amplitudes, random_pure
@@ -387,6 +388,27 @@ def test_scan_counts_pinned_at_seed_zero(capsys):
         "incomparable-mixed-dominance": 74,
         "incomparable-full-dominance": 33,
     }
+
+
+def reference_scan_counts(dims, samples, seed):
+    """Scan's counts from one pair at a time, each on fresh states."""
+    counts = {"comparable": 0, "incomparable-mixed-dominance": 0, "incomparable-full-dominance": 0}
+    for index in range(samples):
+        rng = seeded_rng((seed, index))
+        first = random_pure(dims, dims, rng)
+        second = random_pure(dims, dims, rng)
+        counts[conversion_class(first, second)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("dims", [2, 3, 8])
+def test_scan_pairs_states_across_chunk_boundaries(monkeypatch, capsys, dims):
+    # Seven pairs per chunk: 53 samples make seven full chunks and one of four.
+    monkeypatch.setattr(cli, "_SCAN_CHUNK_ENTRIES", 7 * 2 * dims * dims)
+    for seed in (0, 1):
+        code, payload = run_json(capsys, ["scan", "--dims", str(dims), "--samples", "53", "--seed", str(seed)])
+        assert code == 0
+        assert payload["results"]["counts"] == reference_scan_counts(dims, 53, seed)
 
 
 # ---------------------------------------------------------- paper-examples

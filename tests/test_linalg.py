@@ -8,6 +8,7 @@ from enthier import linalg
 from enthier.errors import (
     DimensionTooLargeForMinors,
     NonFiniteInput,
+    NonSquareMatrix,
     NoSignChange,
 )
 from enthier.linalg import (
@@ -85,6 +86,19 @@ def test_singular_values_nonnegative():
 def test_singular_values_overflowing_gram_is_non_finite():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
         singular_values_squared([[1e200, 1e200], [1e200, 1e200]])
+
+
+def test_singular_values_of_a_stack_keep_shape_and_checks():
+    rng = seeded_rng(106)
+    stack = np.stack([random_complex(2, 3, rng) for _ in range(4)]).reshape(2, 2, 2, 3)
+    squares = singular_values_squared(stack)
+    assert squares.shape == (2, 2, 2)
+    assert np.array_equal(squares[1, 0], singular_values_squared(stack[1, 0]))
+    with pytest.raises(NonSquareMatrix):
+        singular_values_squared([0.5, 0.5])
+    stack[1, 1, 0, 2] = np.inf
+    with pytest.raises(NonFiniteInput):
+        singular_values_squared(stack)
 
 
 # ------------------------------------------------- elementary symmetric

@@ -24,6 +24,7 @@ from enthier.statefile import parse_state, write_state
 from enthier.states import PureState, apply_local_unitary, density_matrix, random_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
+HAAR_LEVEL_RTOL = 1e-10  # worst seen over 600 Haar draws with d <= 8: 2.3e-14
 WOOTTERS_TOL = 1e-12
 EPS = np.finfo(float).eps
 
@@ -45,13 +46,16 @@ def zero_padded(state, rows, cols):
 @derandomized
 @given(dim_a=dims, dim_b=dims, seed=seeds)
 def test_routes_agree_and_are_local_unitary_invariant(dim_a, dim_b, seed):
+    # Per level and relative for the spectral and minor routes: at d = 8 the
+    # median Haar C_d is ~4e-11, which an absolute bound cannot see.
     rng = seeded_rng(seed)
     state = random_pure(dim_a, dim_b, rng)
     turned = rotated(state, rng)
     eig = hierarchy(state)
-    for route in (hierarchy, hierarchy_via_minors, hierarchy_via_invariants):
-        assert np.max(np.abs(route(state) - eig)) <= ROUTE_TOL
-        assert np.max(np.abs(route(turned) - eig)) <= ROUTE_TOL
+    for levels in (hierarchy(turned), hierarchy_via_minors(state), hierarchy_via_minors(turned)):
+        assert np.all(np.abs(levels - eig) <= HAAR_LEVEL_RTOL * eig)
+    for levels in (hierarchy_via_invariants(state), hierarchy_via_invariants(turned)):
+        assert np.max(np.abs(levels - eig)) <= ROUTE_TOL
 
 
 SWAPPED = {

@@ -23,6 +23,7 @@ from enthier.states import (
     from_schmidt,
     random_pure,
     schmidt_rank,
+    schmidt_spectra,
     schmidt_spectrum,
 )
 
@@ -120,6 +121,45 @@ def test_spectrum_is_descending_unit_sum():
         assert abs(lam.sum() - 1.0) <= 1e-12
         assert np.all(lam >= 0.0)
         assert np.all(np.diff(lam) <= 1e-14)
+
+
+def stacking_cases(rng):
+    """Batches of same-shape amplitude matrices: square d = 1..64, the two
+    rectangular shapes 3x7 and 7x3, and rank-deficient states zero-padded
+    by rows and columns."""
+    for d in range(1, 65):
+        yield [random_pure(d, d, rng).amplitudes for _ in range(3)]
+    for rows, cols in ((3, 7), (7, 3)):
+        yield [random_pure(rows, cols, rng).amplitudes for _ in range(5)]
+    for d, pad in ((2, 1), (3, 2), (5, 3), (8, 4)):
+        padded = []
+        for _ in range(4):
+            a = np.zeros((d + pad, d + pad), dtype=complex)
+            a[:d, :d] = random_pure(d, d, rng).amplitudes
+            padded.append(a)
+        yield padded
+
+
+def test_stacked_spectra_match_batches_of_one_bit_for_bit():
+    rng = seeded_rng(211)
+    for batch in stacking_cases(rng):
+        stacked = [PureState(a) for a in batch]
+        spectra = schmidt_spectra(stacked)
+        assert spectra.shape == (len(batch), min(batch[0].shape))
+        for amplitudes, state, row in zip(batch, stacked, spectra):
+            assert state._spectrum.tobytes() == row.tobytes()  # the batch filled the cache
+            assert row.tobytes() == schmidt_spectrum(PureState(amplitudes)).tobytes()
+
+
+def test_stacked_spectra_are_read_only_and_need_one_shape():
+    rng = seeded_rng(212)
+    spectra = schmidt_spectra([random_pure(2, 2, rng), random_pure(2, 2, rng)])
+    with pytest.raises(ValueError):
+        spectra[0, 0] = 0.0
+    with pytest.raises(DimensionMismatch):
+        schmidt_spectra([random_pure(2, 2, rng), random_pure(2, 3, rng)])
+    with pytest.raises(DimensionMismatch):
+        schmidt_spectra([])
 
 
 def test_bell_state_spectrum():
