@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
-    DimensionTooLargeForMinors,
     DimensionTooLargeForNewton,
     DuplicateEntry,
     EnthierError,

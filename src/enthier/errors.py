@@ -21,10 +21,6 @@ class NonPositiveSpectrum(EnthierError):
     """A positive-semidefinite construction produced a genuinely negative eigenvalue."""
 
 
-class DimensionTooLargeForMinors(EnthierError):
-    """Minor enumeration is guarded against combinatorial blowup."""
-
-
 class DimensionTooLargeForNewton(EnthierError):
     """Newton's identities lose relative accuracy on the top levels at high dimension."""
 

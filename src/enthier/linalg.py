@@ -4,10 +4,10 @@ The three concurrence-hierarchy routes in ``measures`` each rest on a
 different kernel, so a fault in one shows up as a disagreement between
 routes rather than cancelling out: the spectral route on the SVD of the
 amplitudes (``singular_values_squared``, LAPACK gesdd through ``svd``),
-the minor route on Householder QR factors of column subsets (``minor_sum``,
-LAPACK geqrf through ``qr``), and the Newton route on powers and traces of
-the Gram matrix (BLAS), which no other route forms. Only the e_k
-recurrence and the column-subset enumeration are written out here.
+the minor route on a bidiagonal form (``minor_sum``, BLAS-level steps),
+and the Newton route on powers and traces of the Gram matrix (BLAS), which
+no other route forms. Only the e_k recurrence, the Householder
+bidiagonalization and the path-matching recurrence are written out here.
 
 The SVD kernel takes a stack of matrices in one call, and a single matrix
 is a stack of one. ``scan`` gets the spectra of a chunk of pairs, at most
@@ -16,14 +16,12 @@ is a stack of one. ``scan`` gets the spectra of a chunk of pairs, at most
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    DimensionTooLargeForMinors,
     NonFiniteInput,
     NonPositiveSpectrum,
     NonSquareMatrix,
@@ -33,13 +31,6 @@ from .errors import (
 
 UNITARY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10
-MINOR_DIM_LIMIT = 12
-
-# Column subsets per stacked np.linalg.qr call in minor_sum. Bounds each
-# stack to 1024 * d * k complex entries (~1.2 MB at d = 12, k = 6). At
-# d <= 12 there are at most C(12, 6) = 924 subsets per level, so one call
-# covers a level.
-_MINOR_CHUNK = 1024
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -121,33 +112,36 @@ def minor_sum(matrix) -> np.ndarray:
     """Sums of |det M(beta, gamma)|^2 over all k-subsets of rows and columns,
     for every level k = 1..min(rows, cols).
 
-    Combinatorial cross-check path, with no Gram product and no SVD. T is
-    the matrix, or its conjugate transpose when rows < cols, so that T is
-    N x d with N >= d; one Householder QR reduces it to its d x d factor
-    R0. By Cauchy-Binet, the sum over row subsets beta for a column subset
-    gamma is det(R0_gamma^dagger R0_gamma) = |det R_gamma|^2, where R_gamma
-    is the R factor of R0[:, gamma]: the product of |diag R_gamma|^2. So
-    level k takes C(d, k) small QRs, stacked _MINOR_CHUNK at a time. Level
-    1 is the squared Frobenius norm and level d is prod |diag R0|^2.
-    Refuses matrices with min dimension above 12.
+    Cross-check path with no Gram product and no LAPACK factorization. T is
+    the matrix, or its conjugate transpose when rows < cols (N x d, N >= d).
+    Golub-Kahan Householder bidiagonalization (Golub and Van Loan, Matrix
+    Computations, 5.4.8) takes T to B = U^dagger T V, with the same minor
+    sums by Cauchy-Binet. Each nonzero minor of B is one monomial, so level
+    k sums the k-matchings of a path whose edge weights |alpha_1|^2,
+    |beta_1|^2, ..., |alpha_d|^2 are the squared norms the 2d - 1
+    reflectors fold: m_j(k) = m_{j-1}(k) + w_j m_{j-2}(k-1), all terms >= 0.
     """
     a = as_complex_matrix(matrix)
-    rows, cols = a.shape
-    d = min(rows, cols)
-    if d > MINOR_DIM_LIMIT:
-        raise DimensionTooLargeForMinors(f"min dimension {d} exceeds {MINOR_DIM_LIMIT}")
-    r0 = np.linalg.qr(a if rows >= cols else a.conj().T, mode="r")
-    sums = np.zeros(d)
-    # Slices, so an empty matrix gives no levels; at d = 1 level 1 wins.
-    sums[-1:] = float(np.prod(np.abs(np.diagonal(r0)) ** 2))
-    sums[:1] = float(np.sum(np.abs(a) ** 2))
-    for k in range(2, d):
-        column_sets = np.array(list(itertools.combinations(range(d), k)))
-        for start in range(0, len(column_sets), _MINOR_CHUNK):
-            block = r0[:, column_sets[start : start + _MINOR_CHUNK]].transpose(1, 0, 2)
-            diagonals = np.abs(np.diagonal(np.linalg.qr(block, mode="r"), axis1=1, axis2=2))
-            sums[k - 1] += float(np.sum(np.prod(diagonals, axis=1) ** 2))
-    return sums
+    t = a.copy() if a.shape[0] >= a.shape[1] else a.conj().T.copy()
+    d = t.shape[1]
+    below = last = np.concatenate(([1.0], np.zeros(d)))  # m_{j-2}, m_{j-1}
+    for step in range(2 * d - 1):
+        k = step // 2
+        # Column k below the diagonal, then row k right of the superdiagonal as a
+        # column of the transposed view (a unitary on the right keeps the sums).
+        block = t[k:, k:] if step % 2 == 0 else t[k:, k + 1 :].T
+        x, rest = block[:, 0], block[:, 1:]
+        head, tail = abs(x[0]), np.vdot(x[1:], x[1:]).real
+        weight = head * head + tail
+        if tail > 0.0:  # else x is reduced already, the zero column included
+            norm = math.sqrt(weight)
+            v = x.copy()
+            v[0] += norm * (x[0] / head if head else 1.0)
+            rest -= np.outer(v, (v.conj() @ rest) / (norm * (norm + head)))
+        level = last.copy()
+        level[1:] += weight * below[:-1]
+        below, last = last, level
+    return last[1:]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +189,6 @@ def bisect_root(
 __all__ = [
     "UNITARY_TOL",
     "PSD_CLAMP_TOL",
-    "MINOR_DIM_LIMIT",
     "seeded_rng",
     "as_complex_matrix",
     "require_unitary",

@@ -7,8 +7,8 @@ numerics, so each cross-checks the others:
 * ``hierarchy``: the squared singular values of the amplitude matrix
   (one LAPACK SVD), then the e_k recurrence;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
-  (Cauchy-Binet), summed over row subsets by one Householder QR per
-  column subset (LAPACK geqrf, no Gram matrix, no SVD);
+  (Cauchy-Binet), summed on a bidiagonal form from hand-written
+  Householder steps (no LAPACK factorization, no Gram matrix);
 * ``hierarchy_via_invariants``: traces of powers of the Gram matrix (BLAS
   products, no eigensolver), then Newton's identities. It loses relative
   accuracy on the top levels as d grows, so it refuses d above
@@ -69,10 +69,8 @@ def hierarchy_via_minors(state: PureState) -> np.ndarray:
     """The hierarchy as squared minor sums of the amplitude matrix.
 
     C_k = sum over k-subsets beta, gamma of |det A(beta, gamma)|^2, which
-    agrees with the spectral route by the Cauchy-Binet formula.
-    ``minor_sum`` takes the sum over beta for each gamma as the squared
-    determinant of one small QR factor, so level k costs C(d, k) QRs.
-    Min dimensions above MINOR_DIM_LIMIT are refused by ``minor_sum``.
+    agrees with the spectral route by Cauchy-Binet; ``minor_sum`` sums them
+    on a bidiagonal B = U^dagger A V, whose nonzero minors are monomials.
     """
     return minor_sum(state.amplitudes)
 
@@ -124,10 +122,10 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
 def renyi_entropy(state: PureState, order: float) -> float:
     """Renyi entropy of the reduced state, base-2 logarithms.
 
-    Order 1 is the von Neumann limit -sum lambda log2 lambda; order
-    infinity is the min-entropy -log2 lambda_max. The power sum is taken
-    over lambda / lambda_max, so it cannot underflow to zero at large
-    finite orders.
+    Order 1 is the von Neumann limit -sum lambda log2 lambda; infinity is
+    the min-entropy -log2 lambda_max. Near 1 the log of the power sum is a
+    log1p of same-signed expm1 terms, which does not cancel as 1/|1-order|;
+    elsewhere the sum is over lambda / lambda_max, so it cannot underflow.
     """
     if not order > 0:
         raise NonPositiveOrder(f"order must be positive, got {order}")
@@ -137,6 +135,10 @@ def renyi_entropy(state: PureState, order: float) -> float:
         value = -np.sum(lam * np.log2(lam))
     elif order == math.inf:
         value = -np.log2(lam[0])
+    elif abs(order - 1.0) < 0.5 and abs(order - 1.0) * np.max(np.abs(np.log(lam))) <= 1.0:
+        # |(order - 1) ln lambda| <= 1 keeps log1p's argument above e^-1 - 1; 0.5 and 2 use the form below
+        deviation = np.sum(lam * np.expm1((order - 1.0) * np.log(lam))) / np.sum(lam)
+        value = np.log1p(deviation) / ((1.0 - order) * math.log(2.0))
     else:
         top = lam[0]
         scaled_sum = np.sum((lam / top) ** order)

@@ -47,8 +47,17 @@ def _load_document(path) -> tuple[dict, str]:
         finite(literal)
         return int(literal)
 
+    def unique(pairs: list) -> dict:  # a field named twice is an error, not last-wins
+        fields = dict(pairs)
+        if len(fields) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ParseError(f"{path}: duplicate field {next(k for k in keys if keys.count(k) > 1)!r}")
+        return fields
+
     try:
-        document = json.loads(text, parse_float=finite, parse_int=integer, parse_constant=finite)
+        document = json.loads(
+            text, parse_float=finite, parse_int=integer, parse_constant=finite, object_pairs_hook=unique
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -93,11 +93,16 @@ def test_measure_paths_agree(tmp_path, capsys):
     assert np.allclose(results["eig"], results["newton"], atol=1e-8)
 
 
-def test_measure_minors_guard_is_domain_error(tmp_path, capsys):
+def test_measure_minors_answers_above_twelve(tmp_path, capsys):
     coeffs = [1.0 / math.sqrt(13)] * 13
     path = write_json(tmp_path, "big.json", {"dims": [13, 13], "schmidt": coeffs})
-    assert main(["measure", path, "--path", "minors"]) == 1
-    assert main(["measure", path, "--path", "eig"]) == 0
+    levels = {}
+    for route in ("minors", "eig"):
+        code, payload = run_json(capsys, ["measure", path, "--path", route])
+        assert code == 0
+        levels[route] = np.array(payload["results"]["hierarchy"])
+    assert levels["minors"].shape == (13,)
+    assert np.all(np.abs(levels["minors"] - levels["eig"]) <= 1e-9 * levels["eig"])
 
 
 def test_measure_newton_guard_is_domain_error(tmp_path, capsys):
@@ -163,6 +168,15 @@ def test_measure_nan_amplitude_is_parse_error(tmp_path, capsys):
     assert main(["measure", str(path)]) == 2
     err = capsys.readouterr().err
     assert "NaN" in err and len(err.strip().splitlines()) == 1
+
+
+def test_measure_duplicate_field_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"dims": [3, 3], "schmidt": [1, 0, 0], "schmidt": [0.6, 0.8, 0]}')
+    assert main(["measure", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {path}: duplicate field 'schmidt'"]
 
 
 @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["exponent", "integer"])

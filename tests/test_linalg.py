@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from enthier import linalg
 from enthier.errors import (
-    DimensionTooLargeForMinors,
     NonFiniteInput,
     NonSquareMatrix,
     NoSignChange,
@@ -181,18 +179,32 @@ def test_minor_sum_of_square_matrix_is_squared_determinant():
         assert abs(minor_sum(m)[dim - 1] - expected) <= 1e-10 * max(1.0, expected)
 
 
-def test_minor_sum_independent_of_chunk_size(monkeypatch):
+def test_minor_sum_matches_explicit_minor_enumeration():
+    # The definition itself: every k x k minor, by cofactor expansion.
     rng = seeded_rng(112)
-    m = random_complex(5, 6, rng) / math.sqrt(30)
-    whole = minor_sum(m)
-    monkeypatch.setattr(linalg, "_MINOR_CHUNK", 7)
-    chunked = minor_sum(m)
-    assert np.allclose(chunked, whole, rtol=1e-13, atol=0.0)
+    for rows, cols in [(1, 4), (3, 3), (4, 2), (4, 5)]:
+        m = random_complex(rows, cols, rng) / math.sqrt(rows * cols)
+        expected = [
+            sum(
+                abs(cofactor_determinant(m[np.ix_(beta, gamma)])) ** 2
+                for beta in itertools.combinations(range(rows), k)
+                for gamma in itertools.combinations(range(cols), k)
+            )
+            for k in range(1, min(rows, cols) + 1)
+        ]
+        assert np.allclose(minor_sum(m), expected, rtol=1e-12, atol=0.0)
 
 
-def test_minor_sum_guards():
-    with pytest.raises(DimensionTooLargeForMinors):
-        minor_sum(np.eye(13))
+@pytest.mark.parametrize("shape", [(13, 13), (13, 14), (48, 48)], ids=["13x13", "13x14", "48x48"])
+def test_minor_sum_matches_spectral_route_per_level_above_twelve(shape):
+    m = random_complex(*shape, seeded_rng(shape)) / math.sqrt(shape[0] * shape[1])
+    levels = elementary_symmetric(singular_values_squared(m))
+    assert np.all(np.abs(minor_sum(m) - levels) <= 1e-12 * levels)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_minor_sum_of_empty_matrix_has_no_levels(shape):
+    assert minor_sum(np.zeros(shape)).shape == (0,)
 
 
 # ---------------------------------------------------------- random draws

@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enthier import linalg, measures, states
 from enthier.errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
-    DimensionTooLargeForMinors,
     InvalidDensity,
     NonPositiveOrder,
 )
@@ -115,9 +117,11 @@ def test_minors_route_matches_eigen_route():
     assert np.allclose(hierarchy_via_minors(state), hierarchy(state), atol=1e-9)
 
 
-def test_minors_route_dimension_guard():
-    with pytest.raises(DimensionTooLargeForMinors):
-        hierarchy_via_minors(random_pure(13, 13, seeded_rng(304)))
+@pytest.mark.parametrize("shape", [(13, 13), (13, 14), (48, 48)], ids=["13x13", "13x14", "48x48"])
+def test_minors_route_matches_eigen_route_per_level_above_twelve(shape):
+    state = random_pure(*shape, seeded_rng((304, *shape)))
+    eig = hierarchy(state)
+    assert np.all(np.abs(hierarchy_via_minors(state) - eig) <= 1e-12 * eig)
 
 
 def test_newton_route_golden_arithmetic():
@@ -159,9 +163,11 @@ def test_minor_and_newton_routes_call_no_eigensolver(monkeypatch):
     for _ in range(20):
         state = random_pure(int(rng.integers(1, 8)), int(rng.integers(1, 8)), rng)
         cases.append((state.amplitudes, hierarchy(state)))
+    above_twelve = random_pure(13, 14, rng)
+    above_twelve_eig = hierarchy(above_twelve)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigensolver or SVD called")
+        raise AssertionError("eigensolver, SVD, QR or determinant called")
 
     monkeypatch.setattr(states, "schmidt_spectrum", refuse)
     monkeypatch.setattr(measures, "schmidt_spectrum", refuse)
@@ -170,10 +176,14 @@ def test_minor_and_newton_routes_call_no_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
     for amplitudes, eig in cases:
         fresh = states.PureState(amplitudes)  # no cached spectrum
         assert np.allclose(hierarchy_via_minors(fresh), eig, atol=1e-8)
         assert np.allclose(hierarchy_via_invariants(fresh), eig, atol=1e-8)
+    fresh = states.PureState(above_twelve.amplitudes)
+    assert np.all(np.abs(hierarchy_via_minors(fresh) - above_twelve_eig) <= 1e-12 * above_twelve_eig)
 
 
 def test_zero_pattern_beyond_schmidt_rank():
@@ -184,8 +194,9 @@ def test_zero_pattern_beyond_schmidt_rank():
         raw = rng.uniform(0.1, 1.0, size=r)
         coeffs = np.zeros(d)
         coeffs[:r] = raw / np.linalg.norm(raw)
-        levels = hierarchy(from_schmidt(coeffs))
-        assert np.array_equal(levels[r:], np.zeros(d - r))
+        state = from_schmidt(coeffs)
+        for levels in (hierarchy(state), hierarchy_via_minors(state)):
+            assert np.array_equal(levels[r:], np.zeros(d - r))
 
 
 def test_separability_iff_trivial_hierarchy():
@@ -229,11 +240,32 @@ def test_renyi_product_state_any_order():
         assert math.copysign(1.0, renyi_entropy(product, order)) == 1.0
 
 
-def test_renyi_continuous_at_order_one():
-    state = diagonal_state([0.5, 0.4, 0.1])
-    at_one = renyi_entropy(state, 1)
-    assert abs(renyi_entropy(state, 1 + 1e-6) - at_one) <= 1e-4
-    assert abs(renyi_entropy(state, 1 - 1e-6) - at_one) <= 1e-4
+def mpmath_renyi(spectrum, order):
+    """Renyi entropy in bits of the normalized spectrum, at 60 digits."""
+    with mpmath.workdps(60):
+        values = [mpmath.mpf(float(value)) for value in spectrum]
+        total = mpmath.fsum(values)
+        alpha = mpmath.mpf(order)
+        power_sum = mpmath.fsum((value / total) ** alpha for value in values)
+        return float(mpmath.log(power_sum, 2) / (1 - alpha))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(min_value=2, max_value=48),
+    decades=st.floats(min_value=0.0, max_value=12.0),
+    offset=st.sampled_from([-1e-4, -1e-8, -1e-12, 1e-12, 1e-8, 1e-4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_renyi_continuous_at_order_one(d, decades, offset, seed):
+    # Near order 1 the general form's two terms grow as 1 / |1 - order| and
+    # cancel, so these orders check the form that replaces it there.
+    exponents = np.concatenate(([0.0], np.sort(seeded_rng(seed).uniform(0.0, 1.0, d - 2)), [1.0]))
+    spectrum = 10.0 ** (-decades * exponents)
+    spectrum /= math.fsum(spectrum)
+    assume(spectrum[0] <= 0.9)  # near-product spectra are a separate matter
+    reference = mpmath_renyi(spectrum, 1.0 + offset)
+    assert abs(renyi_entropy(diagonal_state(spectrum), 1.0 + offset) - reference) <= 1e-12 * reference
 
 
 def test_renyi_infinite_order_is_min_entropy():

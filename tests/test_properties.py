@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enthier.linalg import random_unitary, seeded_rng
+from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
 from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict, t_transform_source
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
@@ -56,6 +56,45 @@ def test_routes_agree_and_are_local_unitary_invariant(dim_a, dim_b, seed):
         assert np.all(np.abs(levels - eig) <= HAAR_LEVEL_RTOL * eig)
     for levels in (hierarchy_via_invariants(state), hierarchy_via_invariants(turned)):
         assert np.max(np.abs(levels - eig)) <= ROUTE_TOL
+
+
+@derandomized
+@given(dim_a=st.integers(min_value=1, max_value=13), dim_b=st.integers(min_value=1, max_value=14), seed=seeds)
+def test_routes_agree_per_level_on_rectangular_states_up_to_13x14(dim_a, dim_b, seed):
+    state = random_pure(dim_a, dim_b, seeded_rng(seed))
+    eig = hierarchy(state)
+    assert np.all(np.abs(hierarchy_via_minors(state) - eig) <= HAAR_LEVEL_RTOL * eig)
+
+
+@derandomized
+@given(
+    shape=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=2),
+    padding=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+    seed=seeds,
+)
+def test_routes_agree_on_zero_padded_rank_deficient_states(shape, padding, seed):
+    # Exact zero rows and columns send the minor route's reflector through
+    # its zero-norm branch; the levels beyond the rank must stay exactly 0.
+    state = zero_padded(random_pure(*shape, seeded_rng(seed)), *padding)
+    rank = min(shape)
+    eig, minors = hierarchy(state), hierarchy_via_minors(state)
+    assert np.all(np.abs(minors[:rank] - eig[:rank]) <= HAAR_LEVEL_RTOL * eig[:rank])
+    assert np.array_equal(minors[rank:], np.zeros(minors.size - rank))
+
+
+@derandomized
+@given(
+    d=st.integers(min_value=2, max_value=12),
+    values=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=3),
+    seed=seeds,
+)
+def test_routes_agree_per_level_on_degenerate_spectra(d, values, seed):
+    # Repeated Schmidt coefficients, each value taken by several lambda_i.
+    rng = seeded_rng(seed)
+    spectrum = np.sort(rng.choice(values, d))[::-1]
+    state = rotated(diagonal_state(spectrum / math.fsum(spectrum)), rng)
+    eig = hierarchy(state)
+    assert np.all(np.abs(hierarchy_via_minors(state) - eig) <= HAAR_LEVEL_RTOL * eig)
 
 
 SWAPPED = {
@@ -151,8 +190,8 @@ def test_routes_agree_per_level_on_graded_states(d, decades, seed):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(min_value=9, max_value=12), decades=st.floats(min_value=0.0, max_value=10.0), seed=seeds)
-def test_routes_agree_per_level_on_graded_states_up_to_the_minor_guard(d, decades, seed):
+@given(d=st.integers(min_value=9, max_value=48), decades=st.floats(min_value=0.0, max_value=10.0), seed=seeds)
+def test_routes_agree_per_level_on_graded_states_up_to_d48(d, decades, seed):
     rng = seeded_rng(seed)
     state = rotated(diagonal_state(graded_spectrum(d, decades, rng)), rng)
     assert relative_gap(hierarchy(state), hierarchy_via_minors(state)) <= 1e-9
@@ -179,6 +218,39 @@ def test_hierarchy_matches_60_digit_reference_at_d12(decades, seed):
     reference = mpmath_hierarchy(state.amplitudes)
     assert relative_gap(hierarchy(state), reference) <= 1e-9
     assert relative_gap(hierarchy_via_minors(state), reference) <= 1e-9
+
+
+def test_hierarchy_matches_60_digit_reference_at_d24():
+    rng = seeded_rng((24, 12))
+    state = rotated(diagonal_state(graded_spectrum(24, 12, rng)), rng)
+    reference = mpmath_hierarchy(state.amplitudes)
+    assert relative_gap(hierarchy(state), reference) <= 1e-9
+    assert relative_gap(hierarchy_via_minors(state), reference) <= 1e-9
+
+
+def hierarchy_jacobian(spectrum):
+    """J_kj = dC_k / dlambda_j = e_{k-1}(spectrum without lambda_j), k, j = 1..d."""
+    columns = [[1.0, *elementary_symmetric(np.delete(spectrum, j))] for j in range(spectrum.size)]
+    return np.array(columns).T
+
+
+@derandomized
+@given(ratios=st.lists(st.floats(min_value=1e-3, max_value=0.9), min_size=1, max_size=9))
+def test_levels_c2_to_cd_are_d_minus_1_independent_invariants(ratios):
+    # Row 1 of J is the normal of the simplex C_1 = 1, so C_2..C_d have
+    # rank d - 1 on it exactly when J is nonsingular, and
+    # |det J| = prod_{i<j} |lambda_i - lambda_j| (a Vandermonde product).
+    spectrum = np.cumprod([1.0, *ratios])
+    spectrum /= math.fsum(spectrum)
+    d = spectrum.size
+    sign, log_det = np.linalg.slogdet(hierarchy_jacobian(spectrum))
+    vandermonde = math.fsum(math.log(spectrum[i] - spectrum[j]) for i in range(d) for j in range(i + 1, d))
+    assert sign != 0.0
+    assert abs(log_det - vandermonde) <= 1e-9
+
+
+def test_levels_are_not_independent_on_a_degenerate_spectrum():
+    assert np.linalg.det(hierarchy_jacobian(np.array([0.5, 0.25, 0.25]))) == 0.0
 
 
 def test_scan_class_survives_local_unitaries_at_d12():

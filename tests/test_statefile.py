@@ -137,3 +137,27 @@ def test_parse_density_structural_errors(tmp_path, payload, fragment):
     with pytest.raises(ParseError) as err:
         parse_density(path)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dims": [3, 3], "schmidt": [1, 0, 0], "schmidt": [0.6, 0.8, 0]}', "schmidt"),
+        ('{"dims": [2, 2], "dims": [2, 2], "schmidt": [1, 0]}', "dims"),
+        ('{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1, "re": 2}]}', "re"),
+        ('{"dims": [2, 2], "amplitudes": [{"i": 0, "i": 1, "j": 0, "re": 1}]}', "i"),
+    ],
+)
+def test_parse_state_rejects_duplicate_fields(tmp_path, text, key):
+    path = write_doc(tmp_path, "twice.json", text)
+    with pytest.raises(ParseError) as err:
+        parse_state(path)
+    assert str(err.value) == f"{path}: duplicate field {key!r}"
+
+
+def test_parse_density_rejects_duplicate_fields(tmp_path):
+    matrix = json.dumps([[0.25, 0.0] if i % 5 == 0 else [0.0, 0.0] for i in range(16)])
+    path = write_doc(tmp_path, "twice_rho.json", f'{{"dims": [4], "matrix": {matrix}, "matrix": {matrix}}}')
+    with pytest.raises(ParseError) as err:
+        parse_density(path)
+    assert "duplicate field 'matrix'" in str(err.value)
