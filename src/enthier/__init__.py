@@ -15,7 +15,6 @@ from .errors import (
     NegativeCoefficient,
     NonFiniteInput,
     NonPositiveOrder,
-    NonPositiveSpectrum,
     NonSquareMatrix,
     NonUnitaryInput,
     NoSignChange,

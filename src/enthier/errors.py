@@ -17,10 +17,6 @@ class NonUnitaryInput(EnthierError):
     """Matrix fails the U U^dag = I check beyond tolerance."""
 
 
-class NonPositiveSpectrum(EnthierError):
-    """A positive-semidefinite construction produced a genuinely negative eigenvalue."""
-
-
 class DimensionTooLargeForNewton(EnthierError):
     """Newton's identities lose relative accuracy on the top levels at high dimension."""
 

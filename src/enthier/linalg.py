@@ -23,14 +23,12 @@ import numpy as np
 
 from .errors import (
     NonFiniteInput,
-    NonPositiveSpectrum,
     NonSquareMatrix,
     NonUnitaryInput,
     NoSignChange,
 )
 
 UNITARY_TOL = 1e-10
-PSD_CLAMP_TOL = 1e-10
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -59,15 +57,6 @@ def require_unitary(matrix) -> np.ndarray:
     if residual > UNITARY_TOL:
         raise NonUnitaryInput(f"unitarity residual {residual:.3e} exceeds {UNITARY_TOL:.0e}")
     return a
-
-
-def clamp_nonnegative(values) -> np.ndarray:
-    """Zero out negative float noise down to -PSD_CLAMP_TOL; reject anything lower."""
-    v = np.array(values, dtype=float)
-    if v.size and v.min() < -PSD_CLAMP_TOL:
-        raise NonPositiveSpectrum(f"eigenvalue {v.min():.3e} below -{PSD_CLAMP_TOL:.0e}")
-    v[v < 0.0] = 0.0
-    return v
 
 
 def singular_values_squared(matrices) -> np.ndarray:
@@ -188,11 +177,9 @@ def bisect_root(
 
 __all__ = [
     "UNITARY_TOL",
-    "PSD_CLAMP_TOL",
     "seeded_rng",
     "as_complex_matrix",
     "require_unitary",
-    "clamp_nonnegative",
     "singular_values_squared",
     "elementary_symmetric",
     "minor_sum",

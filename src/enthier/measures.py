@@ -29,7 +29,7 @@ from .errors import (
     InvalidDensity,
     NonPositiveOrder,
 )
-from .linalg import clamp_nonnegative, elementary_symmetric, minor_sum, singular_values_squared
+from .linalg import elementary_symmetric, minor_sum, singular_values_squared
 from .states import PureState, schmidt_spectrum
 
 DENSITY_TRACE_TOL = 1e-9
@@ -100,8 +100,8 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
     k e_k = sum_{m=1}^{k} (-1)^(m-1) e_{k-m} p_m; the three-level case
     reduces to C_3 = (1 - 3 p_2 + 2 p_3) / 6. The alternating sum cancels
     badly on the small top levels, so min dimensions above
-    NEWTON_DIM_LIMIT are refused. ``clamp_nonnegative`` zeroes levels that
-    rounding leaves just below 0 and raises on any below -1e-10.
+    NEWTON_DIM_LIMIT are refused. Levels that rounding leaves below 0 are
+    zeroed.
     """
     d = min(state.dim_a, state.dim_b)
     if d > NEWTON_DIM_LIMIT:
@@ -116,7 +116,8 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
         for m in range(1, k + 1):
             acc += (-1.0) ** (m - 1) * e[k - m] * power_sums[m - 1]
         e[k] = acc / k
-    return clamp_nonnegative(e[1:])
+    e[e < 0.0] = 0.0
+    return e[1:]
 
 
 def renyi_entropy(state: PureState, order: float) -> float:
@@ -153,21 +154,24 @@ def eof_pure(state: PureState) -> float:
 
 
 def af_concurrence(state: PureState) -> float:
-    """Generalized two-level concurrence sqrt(d/(d-1) (1 - purity)),
-    normalized to hit 1 on maximally entangled states."""
-    lam = schmidt_spectrum(state)
-    d = lam.size
+    """Generalized two-level concurrence sqrt(2d/(d-1) C_2) (Albeverio and
+    Fei), normalized to hit 1 on maximally entangled states.
+
+    C_2 = e_2(lambda) sums nonnegative products, so it keeps its relative
+    accuracy near product states, where 1 - sum lambda^2 = 2 C_2 cancels.
+    """
+    levels = hierarchy(state)
+    d = levels.size
     if d == 1:
         return 0.0
-    purity = float(np.sum(lam**2))
-    return math.sqrt(max(0.0, d / (d - 1) * (1.0 - purity)))
+    return math.sqrt(d / (d - 1)) * math.sqrt(2.0 * levels[1])
 
 
 def rungta_concurrence(state: PureState) -> float:
-    """Universal-inverter concurrence sqrt(2 (1 - purity))."""
-    lam = schmidt_spectrum(state)
-    purity = float(np.sum(lam**2))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    """Universal-inverter concurrence 2 sqrt(C_2) (Rungta et al.), which is
+    sqrt(2 (1 - sum lambda^2)) taken without its cancellation."""
+    levels = hierarchy(state)
+    return 2.0 * math.sqrt(levels[1]) if levels.size > 1 else 0.0
 
 
 def require_two_qubit_density(rho) -> np.ndarray:
@@ -189,8 +193,11 @@ def require_two_qubit_density(rho) -> np.ndarray:
 
 
 def _psd_sqrt(matrix) -> np.ndarray:
+    """Square root of a density that ``require_two_qubit_density`` has
+    accepted, so negative eigenvalues are rounding dust and are zeroed."""
     values, vectors = np.linalg.eigh(matrix)
-    roots = np.sqrt(clamp_nonnegative(values))
+    values[values < 0.0] = 0.0
+    roots = np.sqrt(values)
     return (vectors * roots) @ vectors.conj().T
 
 

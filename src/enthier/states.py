@@ -102,7 +102,10 @@ def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) 
     """
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
-    a = np.zeros((dim_a, dim_b), dtype=complex)
+    try:
+        a = np.zeros((dim_a, dim_b), dtype=complex)
+    except ValueError as exc:  # a shape numpy cannot address, refused before allocating
+        raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
     seen: set[tuple[int, int]] = set()
     for i, j, value in entries:
         if not (0 <= i < dim_a and 0 <= j < dim_b):
@@ -181,7 +184,10 @@ def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
     """Haar-induced random state: normalized complex Gaussian amplitudes."""
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
-    z = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
+    try:
+        z = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
+    except ValueError as exc:  # a shape numpy cannot address, refused before drawing
+        raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
     return PureState(z / np.linalg.norm(z))
 
 

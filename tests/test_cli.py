@@ -394,6 +394,30 @@ def test_scan_out_of_memory_is_domain_error(monkeypatch, capsys):
     assert captured.err == "error: out of memory: cannot allocate the amplitudes\n"
 
 
+# Shapes numpy refuses before allocating anything. Sizes between about 2^24
+# entries and this limit may be allocated lazily, so they are never tried here.
+UNADDRESSABLE_DIMS = [[10**20, 1], [2**62, 4]]
+
+
+@pytest.mark.parametrize("dims", UNADDRESSABLE_DIMS)
+@pytest.mark.parametrize("command", ["measure", "schmidt", "locc", "emit-state"])
+def test_unaddressable_dimensions_end_in_one_line(tmp_path, capsys, command, dims):
+    path = write_json(tmp_path, "huge.json", {"dims": dims, "amplitudes": [{"i": 0, "j": 0, "re": 1.0}]})
+    assert main([command, path, path] if command == "locc" else [command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: out of memory: {dims[0]}x{dims[1]} amplitudes: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_scan_unaddressable_dimension_ends_in_one_line(capsys):
+    assert main(["scan", "--dims", "4000000000", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: 4000000000x4000000000 amplitudes: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_scan_counts_pinned_at_seed_zero(capsys):
     code, payload = run_json(capsys, ["scan", "--dims", "3", "--samples", "300", "--seed", "0"])
     assert code == 0
@@ -455,9 +479,22 @@ def test_paper_examples_failed_check_exits_three(capsys, monkeypatch):
     assert "self-check failed" in captured.err
 
 
+GOLDEN_SOURCE = str(SNAPSHOTS / "state_050_040_010.json")
+GOLDEN_TARGET = str(SNAPSHOTS / "state_060_020_020.json")
+
+
 @pytest.mark.parametrize(
     "argv, snapshot",
-    [(["paper-examples"], "paper_examples.txt"), (["paper-examples", "--json"], "paper_examples.json")],
+    [
+        (["paper-examples"], "paper_examples.txt"),
+        (["paper-examples", "--json"], "paper_examples.json"),
+        *[
+            (["measure", GOLDEN_SOURCE, "--path", path, "--json"], f"measure_{path}.json")
+            for path in ("eig", "minors", "newton")
+        ],
+        (["schmidt", GOLDEN_SOURCE, "--json"], "schmidt.json"),
+        (["locc", GOLDEN_SOURCE, GOLDEN_TARGET, "--json"], "locc.json"),
+    ],
 )
 def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv) == 0

@@ -1,0 +1,29 @@
+"""The package depends on numpy and the standard library only.
+
+scipy may be installed alongside, and mpmath and hypothesis serve the tests,
+so an import of any of them from the package would pass everywhere they
+happen to be present and fail where the package is installed on its own.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "enthier").glob("*.py"))
+
+
+def absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_package_imports_only_numpy_and_the_standard_library(source):
+    modules = absolute_imports(ast.parse(source.read_text(), filename=str(source)))
+    assert sorted({name for name in modules if name.split(".")[0] not in ALLOWED}) == []

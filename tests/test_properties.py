@@ -13,9 +13,11 @@ from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
 from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict, t_transform_source
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
+    af_concurrence,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
+    rungta_concurrence,
     wootters_concurrence,
     wootters_pure,
 )
@@ -228,6 +230,24 @@ def test_hierarchy_matches_60_digit_reference_at_d24():
     assert relative_gap(hierarchy_via_minors(state), reference) <= 1e-9
 
 
+@derandomized
+@given(d=st.sampled_from([2, 3, 8]), tail_decades=st.floats(min_value=8.0, max_value=14.0), seed=seeds)
+def test_two_level_concurrences_keep_relative_accuracy_near_product_states(d, tail_decades, seed):
+    # 1 - sum lambda^2 cancels on a tail of mass 1e-14 (relative error up to 6e-3);
+    # C_2 = e_2(lambda) sums nonnegative products and does not.
+    rng = seeded_rng(seed)
+    tail = 10.0**-tail_decades * rng.dirichlet(np.ones(d - 1))
+    spectrum = np.array([1.0 - math.fsum(tail), *tail])
+    state = rotated(diagonal_state(spectrum), rng)
+    with mpmath.workdps(60):
+        lam = [mpmath.mpf(float(v)) for v in spectrum]
+        total = mpmath.fsum(lam)
+        c2 = mpmath.fsum(lam[i] * lam[j] for i in range(d) for j in range(i + 1, d)) / total**2
+        af, rungta = float(mpmath.sqrt(2 * d * c2 / (d - 1))), float(2 * mpmath.sqrt(c2))
+    assert abs(af_concurrence(state) - af) <= 1e-8 * af
+    assert abs(rungta_concurrence(state) - rungta) <= 1e-8 * rungta
+
+
 def hierarchy_jacobian(spectrum):
     """J_kj = dC_k / dlambda_j = e_{k-1}(spectrum without lambda_j), k, j = 1..d."""
     columns = [[1.0, *elementary_symmetric(np.delete(spectrum, j))] for j in range(spectrum.size)]
@@ -272,6 +292,8 @@ def test_wootters_concurrence_of_projector_is_pure_concurrence(product, seed):
     else:
         state = random_pure(2, 2, rng)
     assert abs(wootters_concurrence(density_matrix(state)) - wootters_pure(state)) <= WOOTTERS_TOL
+    # on 2x2 states both two-level normalizations are 2 |det A|
+    assert max(abs(c(state) - wootters_pure(state)) for c in (rungta_concurrence, af_concurrence)) <= WOOTTERS_TOL
 
 
 # Signed zeros and subnormals, the values a lossy writer would drop or flush.
