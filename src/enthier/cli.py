@@ -91,18 +91,29 @@ def _int_at_least(lowest: int):
 def _cmd_measure(args) -> tuple[ReportDocument, int]:
     state, digest = parse_state(args.state, renormalize=args.renormalize)
     spectrum = schmidt_spectrum(state)
-    levels = _HIERARCHY_PATHS[args.path](state)
+    # Each quantity once per call: the eig route is the spectral hierarchy, both
+    # two-level concurrences take C_2 from it, the newton route takes the power
+    # sums printed as invariants, and eof is the Renyi entropy of order 1.
+    levels = hierarchy(state)
+    power_sums = invariants(state)
+    if args.path == "eig":
+        route = levels
+    elif args.path == "newton":
+        route = hierarchy_via_invariants(state, power_sums)
+    else:
+        route = _HIERARCHY_PATHS[args.path](state)
+    renyi = {order: renyi_entropy(state, order) for order in args.renyi}
     results = {
         "dims": [state.dim_a, state.dim_b],
         "schmidt_spectrum": [float(v) for v in spectrum],
         "schmidt_rank": schmidt_rank(spectrum),
         "hierarchy_path": args.path,
-        "hierarchy": [float(v) for v in levels],
-        "invariants": [float(v) for v in invariants(state)],
-        "renyi": {str(order): renyi_entropy(state, order) for order in args.renyi},
-        "eof": eof_pure(state),
-        "af_concurrence": af_concurrence(state),
-        "rungta_concurrence": rungta_concurrence(state),
+        "hierarchy": [float(v) for v in route],
+        "invariants": [float(v) for v in power_sums],
+        "renyi": {str(order): value for order, value in renyi.items()},
+        "eof": renyi[1.0] if 1.0 in renyi else eof_pure(state),
+        "af_concurrence": af_concurrence(state, levels),
+        "rungta_concurrence": rungta_concurrence(state, levels),
     }
     return _report(args, results, input_digest=digest), 0
 

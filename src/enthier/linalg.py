@@ -97,6 +97,15 @@ def elementary_symmetric(values) -> np.ndarray:
     return e[1:]
 
 
+def _phase(z, size: float):
+    """z / size for size = |z| > 0. numpy divides by multiplying with 1 / size,
+    which overflows when size is subnormal; there both are first scaled by
+    2^600, which is exact."""
+    if size < 2.0**-600:
+        z, size = z * 2.0**600, size * 2.0**600
+    return z / size
+
+
 def minor_sum(matrix) -> np.ndarray:
     """Sums of |det M(beta, gamma)|^2 over all k-subsets of rows and columns,
     for every level k = 1..min(rows, cols).
@@ -125,7 +134,7 @@ def minor_sum(matrix) -> np.ndarray:
         if tail > 0.0:  # else x is reduced already, the zero column included
             norm = math.sqrt(weight)
             v = x.copy()
-            v[0] += norm * (x[0] / head if head else 1.0)
+            v[0] += norm * (_phase(x[0], head) if head else 1.0)
             rest -= np.outer(v, (v.conj() @ rest) / (norm * (norm + head)))
         level = last.copy()
         level[1:] += weight * below[:-1]

@@ -93,7 +93,7 @@ def invariants(state: PureState) -> np.ndarray:
     return np.array(values)
 
 
-def hierarchy_via_invariants(state: PureState) -> np.ndarray:
+def hierarchy_via_invariants(state: PureState, power_sums: np.ndarray | None = None) -> np.ndarray:
     """The hierarchy reconstructed from power sums via Newton's identities.
 
     With p_m = sum_i lambda_i^m the recursion is
@@ -101,14 +101,16 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
     reduces to C_3 = (1 - 3 p_2 + 2 p_3) / 6. The alternating sum cancels
     badly on the small top levels, so min dimensions above
     NEWTON_DIM_LIMIT are refused. Levels that rounding leaves below 0 are
-    zeroed.
+    zeroed. ``power_sums``, the state's ``invariants`` if the caller has
+    them already, saves taking them again.
     """
     d = min(state.dim_a, state.dim_b)
     if d > NEWTON_DIM_LIMIT:
         raise DimensionTooLargeForNewton(
             f"newton route: min dimension {d} exceeds {NEWTON_DIM_LIMIT}"
         )
-    power_sums = invariants(state)  # p_m = power_sums[m - 1]
+    if power_sums is None:
+        power_sums = invariants(state)  # p_m = power_sums[m - 1]
     e = np.zeros(d + 1)
     e[0] = 1.0
     for k in range(1, d + 1):
@@ -153,25 +155,32 @@ def eof_pure(state: PureState) -> float:
     return renyi_entropy(state, 1)
 
 
-def af_concurrence(state: PureState) -> float:
+def _two_level(state: PureState, levels: np.ndarray | None) -> tuple[int, float]:
+    """d and C_2 = e_2(lambda), 0 at d = 1, from ``levels``, the state's
+    ``hierarchy``, which is taken here when the caller does not have it."""
+    levels = hierarchy(state) if levels is None else levels
+    return levels.size, (float(levels[1]) if levels.size > 1 else 0.0)
+
+
+def af_concurrence(state: PureState, levels: np.ndarray | None = None) -> float:
     """Generalized two-level concurrence sqrt(2d/(d-1) C_2) (Albeverio and
     Fei), normalized to hit 1 on maximally entangled states.
 
     C_2 = e_2(lambda) sums nonnegative products, so it keeps its relative
     accuracy near product states, where 1 - sum lambda^2 = 2 C_2 cancels.
+    ``levels`` is the state's ``hierarchy``, if the caller has it already.
     """
-    levels = hierarchy(state)
-    d = levels.size
+    d, c2 = _two_level(state, levels)
     if d == 1:
         return 0.0
-    return math.sqrt(d / (d - 1)) * math.sqrt(2.0 * levels[1])
+    return math.sqrt(d / (d - 1)) * math.sqrt(2.0 * c2)
 
 
-def rungta_concurrence(state: PureState) -> float:
+def rungta_concurrence(state: PureState, levels: np.ndarray | None = None) -> float:
     """Universal-inverter concurrence 2 sqrt(C_2) (Rungta et al.), which is
-    sqrt(2 (1 - sum lambda^2)) taken without its cancellation."""
-    levels = hierarchy(state)
-    return 2.0 * math.sqrt(levels[1]) if levels.size > 1 else 0.0
+    sqrt(2 (1 - sum lambda^2)) taken without its cancellation. ``levels``
+    is the state's ``hierarchy``, if the caller has it already."""
+    return 2.0 * math.sqrt(_two_level(state, levels)[1])
 
 
 def require_two_qubit_density(rho) -> np.ndarray:

@@ -11,30 +11,26 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .states import PureState, from_amplitudes, from_schmidt
+from .errors import EnthierError, InvalidDensity, ParseError
+from .states import PureState, _from_index_arrays, from_schmidt
 
 _STATE_KEYS = {"dims", "amplitudes", "schmidt"}
 _ENTRY_KEYS = {"i", "j", "re", "im"}
 _DENSITY_KEYS = {"dims", "matrix"}
+# JSON numbers by exact type: true and false are not numbers, although bool subclasses int
+_NUMBER_TYPES = (int, float)
+_ENTRY_FIELDS = operator.itemgetter("i", "j", "re", "im")
 
 
-def _is_number(value) -> bool:
-    """A JSON number; true and false are not, although bool subclasses int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _load_document(path) -> tuple[dict, str]:
-    """The JSON object in a UTF-8 file, read once, and the SHA-256 of its bytes."""
-    try:
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+def _json_object(text: str, path, strict: bool = False) -> dict:
+    """The JSON object in ``text``. The C scanner converts numbers itself,
+    unless ``strict``, when every literal is checked as it is read and the
+    first one that is not finite in double precision is refused."""
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -54,17 +50,42 @@ def _load_document(path) -> tuple[dict, str]:
             raise ParseError(f"{path}: duplicate field {next(k for k in keys if keys.count(k) > 1)!r}")
         return fields
 
+    numbers = {"parse_float": finite, "parse_int": integer} if strict else {}
     try:
-        document = json.loads(
-            text, parse_float=finite, parse_int=integer, parse_constant=finite, object_pairs_hook=unique
-        )
+        document = json.loads(text, parse_constant=finite, object_pairs_hook=unique, **numbers)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return document, hashlib.sha256(data).hexdigest()
+    return document
+
+
+def _read_document(path, build, *args):
+    """``build(document, path, *args)`` on the JSON object in a file, and the
+    SHA-256 of the file's bytes, which are read once: a pipe cannot be read
+    twice.
+
+    The fast parse lets through literals that the strict one refuses as not
+    finite in double precision (``1e999``, an int that float() cannot
+    convert) and raises a bare ValueError on an int of over 4300 digits. No
+    such value reaches a result: it is refused where it is used, and
+    anywhere else the document is. So whenever the document is refused, the
+    same bytes are parsed strictly, and a literal refused there is reported
+    in place of the first refusal.
+    """
+    try:
+        with open(path, "rb") as file:
+            data = file.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        return build(_json_object(text, path), path, *args), hashlib.sha256(data).hexdigest()
+    except (EnthierError, MemoryError, OverflowError, ValueError):
+        _json_object(text, path, strict=True)
+        raise
 
 
 def _parse_dims(document: dict, path, expected_rank: int) -> list[int]:
@@ -74,38 +95,50 @@ def _parse_dims(document: dict, path, expected_rank: int) -> list[int]:
     if (
         not isinstance(dims, list)
         or len(dims) != expected_rank
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise ParseError(f"{path}: 'dims' must be a list of {expected_rank} positive integers")
     return dims
 
 
-def _parse_entry(entry, position: int, path) -> tuple[int, int, complex]:
+def _entry_fields(entry, position: int, path) -> tuple:
+    """(i, j, re, im) of an amplitude entry, im 0.0 when omitted, or a
+    ParseError naming the first thing wrong with it."""
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: amplitudes[{position}] must be an object")
     unknown = set(entry) - _ENTRY_KEYS
     if unknown:
         raise ParseError(f"{path}: amplitudes[{position}] has unexpected field {sorted(unknown)[0]!r}")
     for key in ("i", "j"):
-        if key not in entry or isinstance(entry[key], bool) or not isinstance(entry[key], int):
+        if type(entry.get(key)) is not int:
             raise ParseError(f"{path}: amplitudes[{position}].{key} must be an integer")
     if "re" not in entry:
         raise ParseError(f"{path}: amplitudes[{position}].re is required")
     for key in ("re", "im"):
-        if key in entry and not _is_number(entry[key]):
+        if key in entry and type(entry[key]) not in _NUMBER_TYPES:
             raise ParseError(f"{path}: amplitudes[{position}].{key} must be a number")
-    return entry["i"], entry["j"], complex(entry["re"], entry.get("im", 0.0))
+    return entry["i"], entry["j"], entry["re"], entry.get("im", 0.0)
 
 
-def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
-    """Read a state document; see the module docstring for the format.
-    Returns the state and the SHA-256 hex digest of the file's bytes.
+def _amplitude_entries(raw: list, path) -> tuple[tuple, tuple, np.ndarray]:
+    """Row and column indices and complex values of the entries, each entry
+    checked by exact type in one pass; the first bad one is refused."""
+    entries = []
+    for position, entry in enumerate(raw):
+        try:  # the usual entry, exactly i, j, re and im, is read in one lookup
+            i, j, re, im = fields = _ENTRY_FIELDS(entry)
+            usual = len(entry) == 4 and type(i) is type(j) is int and type(re) in _NUMBER_TYPES
+            usual = usual and type(im) in _NUMBER_TYPES
+        except (KeyError, TypeError):  # not an object, or a field missing (im may be)
+            usual = False
+        entries.append(fields if usual else _entry_fields(entry, position, path))
+    rows, cols, reals, imags = zip(*entries)
+    values = np.empty(len(rows), dtype=complex)
+    values.real, values.imag = reals, imags  # each part as float() converts it, -0.0 kept
+    return rows, cols, values
 
-    Structural problems raise ParseError naming the offending field;
-    domain violations (normalization, index range, duplicates) raise
-    their own error types.
-    """
-    document, digest = _load_document(path)
+
+def _state(document: dict, path, renormalize: bool) -> PureState:
     unknown = set(document) - _STATE_KEYS
     if unknown:
         raise ParseError(f"{path}: unexpected field {sorted(unknown)[0]!r}")
@@ -119,23 +152,31 @@ def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
         raw = document["amplitudes"]
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{path}: 'amplitudes' must be a non-empty list")
-        entries = [_parse_entry(entry, pos, path) for pos, entry in enumerate(raw)]
-        return from_amplitudes(dims[0], dims[1], entries, renormalize=renormalize), digest
+        rows, cols, values = _amplitude_entries(raw, path)
+        return _from_index_arrays(dims[0], dims[1], rows, cols, values, renormalize)
 
     raw = document["schmidt"]
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{path}: 'schmidt' must be a non-empty list")
-    if not all(_is_number(c) for c in raw):
+    if not all(type(c) in _NUMBER_TYPES for c in raw):
         raise ParseError(f"{path}: 'schmidt' entries must be numbers")
     if dims != [len(raw), len(raw)]:
         raise ParseError(f"{path}: 'dims' must equal [{len(raw)}, {len(raw)}] for {len(raw)} schmidt coefficients")
-    return from_schmidt(raw, renormalize=renormalize), digest
+    return from_schmidt(raw, renormalize=renormalize)
 
 
-def parse_density(path) -> tuple[np.ndarray, str]:
-    """Read a two-qubit density document into a 4x4 complex array, with
-    the SHA-256 hex digest of the file's bytes."""
-    document, digest = _load_document(path)
+def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
+    """Read a state document; see the module docstring for the format.
+    Returns the state and the SHA-256 hex digest of the file's bytes.
+
+    Structural problems raise ParseError naming the offending field;
+    domain violations (normalization, index range, duplicates) raise
+    their own error types.
+    """
+    return _read_document(path, _state, renormalize)
+
+
+def _density(document: dict, path) -> np.ndarray:
     unknown = set(document) - _DENSITY_KEYS
     if unknown:
         raise ParseError(f"{path}: unexpected field {sorted(unknown)[0]!r}")
@@ -149,10 +190,19 @@ def parse_density(path) -> tuple[np.ndarray, str]:
         raise ParseError(f"{path}: 'matrix' must list 16 [re, im] pairs, row-major")
     values = []
     for position, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(part) for part in pair):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(type(part) in _NUMBER_TYPES for part in pair):
             raise ParseError(f"{path}: matrix[{position}] must be a [re, im] pair")
         values.append(complex(pair[0], pair[1]))
-    return np.array(values, dtype=complex).reshape(4, 4), digest
+    rho = np.array(values, dtype=complex).reshape(4, 4)
+    if not np.isfinite(rho).all():  # an overflowing literal, refused here so the strict parse names it
+        raise InvalidDensity("density contains non-finite entries")
+    return rho
+
+
+def parse_density(path) -> tuple[np.ndarray, str]:
+    """Read a two-qubit density document into a 4x4 complex array, with
+    the SHA-256 hex digest of the file's bytes."""
+    return _read_document(path, _density)
 
 
 def state_document(state: PureState) -> dict:

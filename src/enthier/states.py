@@ -40,6 +40,8 @@ def _normalized(values: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
     given.
     """
     peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
+    if not math.isfinite(peak):
+        raise NonFiniteInput(f"{what} contain non-finite entries")
     if peak == 0.0:
         raise ZeroState(f"all {what} are zero")
     scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
@@ -100,20 +102,42 @@ def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) 
     The result is normalized to unit norm (up to rounding); without
     ``renormalize`` the input norm may deviate from 1 by at most 1e-6.
     """
+    triples = list(entries)
+    rows, cols, values = ([triple[n] for triple in triples] for n in range(3))
+    return _from_index_arrays(dim_a, dim_b, rows, cols, values, renormalize)
+
+
+def _from_index_arrays(dim_a: int, dim_b: int, rows, cols, values, renormalize: bool) -> PureState:
+    """``from_amplitudes`` on the entries (rows[n], cols[n], values[n]).
+
+    The indices are checked as arrays. The first entry, in input order, that
+    lies outside the matrix or repeats an earlier one is refused, as a loop
+    over the entries would refuse it; none is placed before that check, so
+    a negative index cannot wrap around.
+    """
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
     try:
         a = np.zeros((dim_a, dim_b), dtype=complex)
     except ValueError as exc:  # a shape numpy cannot address, refused before allocating
         raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
-    seen: set[tuple[int, int]] = set()
-    for i, j, value in entries:
-        if not (0 <= i < dim_a and 0 <= j < dim_b):
-            raise IndexOutOfRange(f"index ({i}, {j}) outside {dim_a}x{dim_b}")
-        if (i, j) in seen:
-            raise DuplicateEntry(f"amplitude ({i}, {j}) supplied twice")
-        seen.add((i, j))
-        a[i, j] = value
+    try:
+        r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    except OverflowError:  # beyond int64, so outside; clipping keeps it outside
+        r = np.array([min(max(i, -1), dim_a) for i in rows], dtype=np.int64)
+        c = np.array([min(max(j, -1), dim_b) for j in cols], dtype=np.int64)
+    outside = (r < 0) | (r >= dim_a) | (c < 0) | (c >= dim_b)
+    inside = int(np.argmax(outside)) if outside.any() else r.size  # entries before the first outside one
+    flat = r[:inside] * dim_b + c[:inside]
+    order = np.argsort(flat, kind="stable")  # equal positions stay in input order
+    ranked = flat[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]  # entries that repeat an earlier one
+    if repeats.size:
+        first = int(repeats.min())
+        raise DuplicateEntry(f"amplitude ({rows[first]}, {cols[first]}) supplied twice")
+    if inside < r.size:
+        raise IndexOutOfRange(f"index ({rows[inside]}, {cols[inside]}) outside {dim_a}x{dim_b}")
+    a.reshape(-1)[flat] = values
     return PureState(_normalized(a, renormalize, "amplitudes"))
 
 

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import enthier
-from enthier import cli
+from enthier import cli, linalg, measures, statefile
 from enthier.cli import build_parser, main
 from enthier.linalg import seeded_rng
 from enthier.locc import conversion_class, hierarchy_dominance
@@ -240,6 +241,53 @@ def test_measure_undecodable_document_is_parse_error(tmp_path, capsys, content, 
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def count_calls(monkeypatch, functions):
+    """Count calls of each (module, name) function, wherever a module of the
+    package refers to it, by name or from a module-level table."""
+    counts = Counter()
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "enthier"]
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in functions:
+        original = getattr(owner, name)
+        wrapper = counted(f"{owner.__name__.split('.')[-1]}.{name}", original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+                elif type(value) is dict:
+                    for key in [key for key, inner in value.items() if inner is original]:
+                        monkeypatch.setitem(value, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "route, route_function",
+    [("eig", "hierarchy"), ("minors", "hierarchy_via_minors"), ("newton", "hierarchy_via_invariants")],
+)
+def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, route_function):
+    path = tmp_path / "psi.json"
+    write_state(random_pure(5, 8, seeded_rng(11)), path)
+    names = {"hierarchy", "invariants", route_function}  # eig's route function is hierarchy itself
+    counts = count_calls(
+        monkeypatch,
+        [(linalg, "elementary_symmetric"), (statefile, "parse_state"), *[(measures, name) for name in names]],
+    )
+    assert main(["measure", str(path), "--path", route, "--json"]) == 0
+    assert counts["linalg.elementary_symmetric"] == 1
+    assert counts["measures.invariants"] == 1
+    # what the benchmark's coverage check needs this call to reach
+    assert counts["measures.hierarchy"] == 1
+    assert counts[f"measures.{route_function}"] == 1
+    assert counts["statefile.parse_state"] == 1
 
 
 def test_measure_product_state_table(tmp_path, capsys):
@@ -494,6 +542,21 @@ GOLDEN_TARGET = str(SNAPSHOTS / "state_060_020_020.json")
         ],
         (["schmidt", GOLDEN_SOURCE, "--json"], "schmidt.json"),
         (["locc", GOLDEN_SOURCE, GOLDEN_TARGET, "--json"], "locc.json"),
+        # Amplitude form: a Haar document as json.dumps writes it, and a hand-made
+        # one with -0.0 parts, an omitted im, integer parts, entries out of
+        # row-major order and a subnormal part.
+        *[
+            (argv, f"{name}_{snapshot}")
+            for name in ("haar_5x8", "hand_3x4")
+            for argv, snapshot in [
+                *[
+                    (["measure", str(SNAPSHOTS / f"state_{name}.json"), "--path", path, "--json"], f"measure_{path}.json")
+                    for path in ("eig", "minors", "newton")
+                ],
+                (["schmidt", str(SNAPSHOTS / f"state_{name}.json"), "--json"], "schmidt.json"),
+                (["emit-state", str(SNAPSHOTS / f"state_{name}.json")], "emit_state.json"),
+            ]
+        ],
     ],
 )
 def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):

@@ -202,6 +202,14 @@ def test_minor_sum_matches_spectral_route_per_level_above_twelve(shape):
     assert np.all(np.abs(minor_sum(m) - levels) <= 1e-12 * levels)
 
 
+@pytest.mark.parametrize("pivot", [5e-324j, -5e-324, 1e-310 + 1e-310j], ids=["imaginary", "real", "complex"])
+def test_minor_sum_reflects_a_column_with_a_subnormal_pivot(pivot):
+    # 1 / |pivot| overflows, so the reflector's phase must not be taken through it.
+    m = np.array([[pivot, 0.48j, 0.0], [-0.64, 0.0, 0.6]]).T
+    levels = elementary_symmetric(singular_values_squared(m))
+    assert np.allclose(minor_sum(m), levels, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_minor_sum_of_empty_matrix_has_no_levels(shape):
     assert minor_sum(np.zeros(shape)).shape == (0,)

@@ -17,6 +17,7 @@ from enthier.measures import (
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
+    invariants,
     rungta_concurrence,
     wootters_concurrence,
     wootters_pure,
@@ -97,6 +98,36 @@ def test_routes_agree_per_level_on_degenerate_spectra(d, values, seed):
     state = rotated(diagonal_state(spectrum / math.fsum(spectrum)), rng)
     eig = hierarchy(state)
     assert np.all(np.abs(hierarchy_via_minors(state) - eig) <= HAAR_LEVEL_RTOL * eig)
+
+
+NEWTON_ABS_TOL = 1e-12  # worst seen over 400 such draws: 4.4e-16
+
+
+def newton_state(kind, shape, padding, values, rng):
+    if kind == "rectangular":
+        return random_pure(*shape, rng)
+    if kind == "zero-padded":  # at most 6 rows, so d <= 6
+        return zero_padded(random_pure(*shape, rng), min(padding[0], 6 - shape[0]), padding[1])
+    spectrum = np.sort(rng.choice(values, min(shape)))[::-1]  # degenerate, rotated
+    return rotated(diagonal_state(spectrum / math.fsum(spectrum)), rng)
+
+
+@derandomized
+@given(
+    kind=st.sampled_from(["rectangular", "zero-padded", "degenerate"]),
+    shape=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=2),
+    padding=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+    values=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=3),
+    seed=seeds,
+)
+def test_newton_route_agrees_with_the_spectral_route_beyond_haar(kind, shape, padding, values, seed):
+    # The power sums measure prints as invariants are the Newton route's
+    # input, on rectangular, rank-deficient and degenerate states too.
+    state = newton_state(kind, shape, padding, values, seeded_rng(seed))
+    assert min(state.dim_a, state.dim_b) <= NEWTON_DIM_LIMIT
+    newton, eig = hierarchy_via_invariants(state), hierarchy(state)
+    assert np.max(np.abs(newton - eig)) <= NEWTON_ABS_TOL
+    assert np.array_equal(newton, hierarchy_via_invariants(state, invariants(state)))
 
 
 SWAPPED = {

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enthier.errors import (
     DimensionMismatch,
@@ -66,6 +68,41 @@ def test_from_amplitudes_rejects_bad_indices_and_duplicates():
         from_amplitudes(2, 2, [(0, 0, 0.0)])
     with pytest.raises(DimensionMismatch):
         from_amplitudes(0, 2, [(0, 0, 1.0)])
+
+
+def loop_assembled(dim_a, dim_b, entries):
+    """The reference: place the entries one at a time, in input order,
+    refusing the first that lies outside or repeats an earlier one."""
+    a = np.zeros((dim_a, dim_b), dtype=complex)
+    seen = set()
+    for i, j, value in entries:
+        if not (0 <= i < dim_a and 0 <= j < dim_b):
+            return IndexOutOfRange(f"index ({i}, {j}) outside {dim_a}x{dim_b}")
+        if (i, j) in seen:
+            return DuplicateEntry(f"amplitude ({i}, {j}) supplied twice")
+        seen.add((i, j))
+        a[i, j] = value
+    return a
+
+
+indices = st.integers(min_value=-2, max_value=4) | st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**70)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    dim_a=st.integers(min_value=1, max_value=4),
+    dim_b=st.integers(min_value=1, max_value=4),
+    entries=st.lists(st.tuples(indices, indices, st.sampled_from([1.0, -0.5j, 2.0 - 1.0j])), min_size=1, max_size=10),
+)
+def test_from_amplitudes_refuses_what_a_loop_over_the_entries_refuses(dim_a, dim_b, entries):
+    expected = loop_assembled(dim_a, dim_b, entries)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            from_amplitudes(dim_a, dim_b, entries, renormalize=True)
+        assert str(raised.value) == str(expected)
+    else:
+        state = from_amplitudes(dim_a, dim_b, entries, renormalize=True)
+        assert np.allclose(state.amplitudes, expected / np.linalg.norm(expected), rtol=0.0, atol=1e-15)
 
 
 def test_from_schmidt_product_state():
