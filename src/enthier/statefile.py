@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import operator
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +46,9 @@ def _json_object(text: str, path, strict: bool = False) -> dict:
 
     def unique(pairs: list) -> dict:  # a field named twice is an error, not last-wins
         fields = dict(pairs)
-        if len(fields) < len(pairs):
-            keys = [key for key, _ in pairs]
-            raise ParseError(f"{path}: duplicate field {next(k for k in keys if keys.count(k) > 1)!r}")
+        if len(fields) < len(pairs):  # name the first field, in order of first appearance, seen twice
+            counts = Counter(key for key, _ in pairs)
+            raise ParseError(f"{path}: duplicate field {next(k for k, n in counts.items() if n > 1)!r}")
         return fields
 
     numbers = {"parse_float": finite, "parse_int": integer} if strict else {}

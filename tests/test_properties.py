@@ -24,7 +24,7 @@ from enthier.measures import (
 )
 from enthier.reference import diagonal_state
 from enthier.statefile import parse_state, write_state
-from enthier.states import PureState, apply_local_unitary, density_matrix, random_pure
+from enthier.states import PureState, apply_local_unitary, density_matrix, from_amplitudes, from_schmidt, random_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
 HAAR_LEVEL_RTOL = 1e-10  # worst seen over 600 Haar draws with d <= 8: 2.3e-14
@@ -350,3 +350,57 @@ def test_state_file_round_trip_is_bit_exact(tmp_path_factory, data, dim_a, dim_b
     path = tmp_path_factory.mktemp("state") / "state.json"
     write_state(state, path)
     assert bits(parse_state(path)[0].amplitudes) == bits(state.amplitudes)
+
+
+def unsigned_parts(count, renormalize):
+    """``count`` nonnegative parts, not all zero. For ``renormalize`` they
+    share a scale between about 1e-320 and 1e300 and each lies up to 2^-60
+    below it, so the small scales give subnormal parts; otherwise they have
+    unit norm times 1 + delta, |delta| under the 1e-6 gate."""
+    mantissas = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=count, max_size=count)
+    if renormalize:
+        offsets = st.lists(st.integers(min_value=-60, max_value=0), min_size=count, max_size=count)
+        exponent = st.integers(min_value=-1063, max_value=996)
+        parts = st.builds(lambda m, k, e: [math.ldexp(x, e + dk) for x, dk in zip(m, k)], mantissas, offsets, exponent)
+    else:
+        mantissas = mantissas.filter(lambda m: max(m) >= 2.0**-10)  # a norm that cannot underflow
+        deltas = st.floats(min_value=-9e-7, max_value=9e-7)
+        parts = st.builds(lambda m, delta: np.array(m) / np.linalg.norm(m) * (1.0 + delta), mantissas, deltas)
+    return parts.filter(lambda v: any(x > 0.0 for x in v))
+
+
+def owned_and_checked(state, *inputs):
+    """The state holds what PureState(...) accepts, read-only, sharing no memory with its inputs."""
+    assert PureState(state.amplitudes) == state
+    assert not state.amplitudes.flags.writeable
+    assert not any(np.shares_memory(state.amplitudes, x) for x in inputs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim_a=st.integers(min_value=1, max_value=8), dim_b=st.integers(min_value=1, max_value=8), seed=seeds)
+def test_random_states_hold_only_what_the_checks_accept(dim_a, dim_b, seed):
+    owned_and_checked(random_pure(dim_a, dim_b, seeded_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(min_value=1, max_value=8), renormalize=st.booleans())
+def test_schmidt_states_hold_only_what_the_checks_accept(data, d, renormalize):
+    coefficients = np.array(data.draw(unsigned_parts(d, renormalize)))
+    owned_and_checked(from_schmidt(coefficients, renormalize=renormalize), coefficients)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    dim_a=st.integers(min_value=1, max_value=4),
+    dim_b=st.integers(min_value=1, max_value=4),
+    renormalize=st.booleans(),
+)
+def test_amplitude_states_hold_only_what_the_checks_accept(data, dim_a, dim_b, renormalize):
+    count = dim_a * dim_b
+    magnitudes = np.array(data.draw(unsigned_parts(2 * count, renormalize)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=2 * count, max_size=2 * count)))
+    parts = signs * magnitudes
+    values = (parts[:count] + 1j * parts[count:]).reshape(dim_a, dim_b)
+    entries = [(i, j, values[i, j]) for i in range(dim_a) for j in range(dim_b)]
+    owned_and_checked(from_amplitudes(dim_a, dim_b, entries, renormalize=renormalize), values, magnitudes)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,26 @@ def test_parse_state_rejects_duplicate_fields(tmp_path, text, key):
     with pytest.raises(ParseError) as err:
         parse_state(path)
     assert str(err.value) == f"{path}: duplicate field {key!r}"
+
+
+def test_duplicate_field_named_in_order_of_first_appearance(tmp_path):
+    # 'b' is the first to repeat, but 'a' is the first of the repeated fields
+    path = write_doc(tmp_path, "twice.json", '{"a": 1, "b": 1, "b": 2, "a": 2, "dims": [1, 1], "schmidt": [1]}')
+    with pytest.raises(ParseError) as err:
+        parse_state(path)
+    assert str(err.value) == f"{path}: duplicate field 'a'"
+
+
+def test_duplicate_field_among_many_refused_in_linear_time(tmp_path):
+    # 40,000 distinct fields, the last named twice: a count per key would be
+    # quadratic, about a minute for this half-megabyte document
+    fields = "".join(f', "x{n}": 0' for n in range(40_000))
+    path = write_doc(tmp_path, "wide.json", '{"dims": [2, 2], "schmidt": [1, 0]%s, "x39999": 1}' % fields)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_state(path)
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == f"{path}: duplicate field 'x39999'"
 
 
 def test_parse_density_rejects_duplicate_fields(tmp_path):

@@ -139,6 +139,30 @@ def test_pure_state_invariant_enforced():
         PureState(np.array([[np.nan]]))
 
 
+def test_pure_state_copies_an_outside_array():
+    x = np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex)
+    state = PureState(x)
+    x[0, 0], x[1, 1] = 0.8, 0.6
+    assert state.amplitudes[0, 0] == 0.6 and state.amplitudes[1, 1] == 0.8
+    assert x.flags.writeable and not state.amplitudes.flags.writeable
+    assert not np.shares_memory(state.amplitudes, x)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, error",
+    [
+        (np.array([1.0]), DimensionMismatch),
+        (np.zeros((0, 0)), DimensionMismatch),
+        (np.array([[np.nan, 1.0]]), NonFiniteInput),
+        (np.array([[1.0 + 2e-9]]), NotNormalized),
+    ],
+    ids=["1-D", "empty", "nan", "norm-off-by-2e-9"],
+)
+def test_pure_state_refuses_outside_arrays(amplitudes, error):
+    with pytest.raises(error):
+        PureState(amplitudes)
+
+
 def test_spectrum_round_trip_on_sorted_squares():
     rng = seeded_rng(201)
     for _ in range(50):
