@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EnthierError, InvalidDensity, ParseError
-from .states import PureState, _from_index_arrays, from_schmidt
+from .states import PureState, from_amplitudes, from_schmidt
 
 _STATE_KEYS = {"dims", "amplitudes", "schmidt"}
 _ENTRY_KEYS = {"i", "j", "re", "im"}
@@ -154,7 +154,7 @@ def _state(document: dict, path, renormalize: bool) -> PureState:
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{path}: 'amplitudes' must be a non-empty list")
         rows, cols, values = _amplitude_entries(raw, path)
-        return _from_index_arrays(dims[0], dims[1], rows, cols, values, renormalize)
+        return from_amplitudes(dims[0], dims[1], zip(rows, cols, values), renormalize)
 
     raw = document["schmidt"]
     if not isinstance(raw, list) or not raw:

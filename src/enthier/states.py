@@ -108,21 +108,13 @@ class PureState:
 def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) -> PureState:
     """Assemble a state from sparse (i, j, amplitude) triples.
 
+    The triples are checked in one loop, in input order: the first that lies
+    outside the matrix or repeats an earlier position is refused, and an
+    entry that is not a triple raises ValueError. None is placed before the
+    loop ends, so a negative index cannot wrap around.
+
     The result is normalized to unit norm (up to rounding); without
     ``renormalize`` the input norm may deviate from 1 by at most 1e-6.
-    """
-    triples = list(entries)
-    rows, cols, values = ([triple[n] for triple in triples] for n in range(3))
-    return _from_index_arrays(dim_a, dim_b, rows, cols, values, renormalize)
-
-
-def _from_index_arrays(dim_a: int, dim_b: int, rows, cols, values, renormalize: bool) -> PureState:
-    """``from_amplitudes`` on the entries (rows[n], cols[n], values[n]).
-
-    The indices are checked as arrays. The first entry, in input order, that
-    lies outside the matrix or repeats an earlier one is refused, as a loop
-    over the entries would refuse it; none is placed before that check, so
-    a negative index cannot wrap around.
     """
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
@@ -130,23 +122,15 @@ def _from_index_arrays(dim_a: int, dim_b: int, rows, cols, values, renormalize: 
         a = np.zeros((dim_a, dim_b), dtype=complex)
     except ValueError as exc:  # a shape numpy cannot address, refused before allocating
         raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
-    try:
-        r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    except OverflowError:  # beyond int64, so outside; clipping keeps it outside
-        r = np.array([min(max(i, -1), dim_a) for i in rows], dtype=np.int64)
-        c = np.array([min(max(j, -1), dim_b) for j in cols], dtype=np.int64)
-    outside = (r < 0) | (r >= dim_a) | (c < 0) | (c >= dim_b)
-    inside = int(np.argmax(outside)) if outside.any() else r.size  # entries before the first outside one
-    flat = r[:inside] * dim_b + c[:inside]
-    order = np.argsort(flat, kind="stable")  # equal positions stay in input order
-    ranked = flat[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]  # entries that repeat an earlier one
-    if repeats.size:
-        first = int(repeats.min())
-        raise DuplicateEntry(f"amplitude ({rows[first]}, {cols[first]}) supplied twice")
-    if inside < r.size:
-        raise IndexOutOfRange(f"index ({rows[inside]}, {cols[inside]}) outside {dim_a}x{dim_b}")
-    a.reshape(-1)[flat] = values
+    placed = {}  # flat position -> amplitude
+    for i, j, value in entries:
+        if not (0 <= i < dim_a and 0 <= j < dim_b):
+            raise IndexOutOfRange(f"index ({i}, {j}) outside {dim_a}x{dim_b}")
+        position = i * dim_b + j
+        if position in placed:
+            raise DuplicateEntry(f"amplitude ({i}, {j}) supplied twice")
+        placed[position] = value
+    a.reshape(-1)[list(placed)] = list(placed.values())
     return PureState._owned(_normalized(a, renormalize, "amplitudes"))
 
 

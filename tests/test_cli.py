@@ -143,10 +143,16 @@ def test_measure_renyi_nan_order_is_usage_error(tmp_path, capsys):
 
 def test_measure_renyi_zero_order_is_usage_error(tmp_path, capsys):
     path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
-    assert main(["measure", path, "--renyi", "0", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "orders must be positive" in captured.err
+    for orders, message in [
+        ("0", "orders must be positive"),
+        ("abc", "argument --renyi: bad order list 'abc'"),
+        (",", "argument --renyi: need at least one order"),
+    ]:
+        assert main(["measure", path, "--renyi", orders, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_measure_renyi_infinite_and_large_orders_are_strict_json(tmp_path, capsys):
@@ -458,10 +464,15 @@ def test_scan_rejects_bad_samples(capsys):
 
 
 def test_scan_negative_seed_is_usage_error(capsys):
-    assert main(["scan", "--seed", "-1", "--samples", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "argument --seed: must be at least 0" in err
-    assert "Traceback" not in err
+    for argv, message in [
+        (["--seed", "-1", "--samples", "3"], "argument --seed: must be at least 0"),
+        (["--dims", "x"], "argument --dims: invalid int value: 'x'"),
+    ]:
+        assert main(["scan", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_scan_out_of_memory_is_domain_error(monkeypatch, capsys):

@@ -4,6 +4,8 @@ sources parse with the grammar of the oldest Python it declares.
 scipy may be installed alongside, and mpmath and hypothesis serve the tests,
 so an import of any of them from the package would pass everywhere they
 happen to be present and fail where the package is installed on its own.
+Between its own modules the package imports public names only: a name with
+one leading underscore belongs to the module that defines it.
 """
 
 import ast
@@ -36,3 +38,17 @@ def test_package_parses_with_the_declared_minimum_python(source):
     # later version; a best-effort grammar check (it refuses except*, say)
     # that does not show the package runs on 3.10
     ast.parse(source.read_text(), filename=str(source), feature_version=(3, 10))
+
+
+def private_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                dunder = alias.name.startswith("__") and alias.name.endswith("__")
+                if alias.name.startswith("_") and not dunder:
+                    yield f"{node.module or ''}.{alias.name}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_package_modules_import_no_private_name_from_each_other(source):
+    assert sorted(private_imports(ast.parse(source.read_text(), filename=str(source)))) == []

@@ -298,6 +298,7 @@ def test_af_concurrence_values():
     uniform3 = from_schmidt(np.full(3, 1.0 / math.sqrt(3.0)))
     assert abs(af_concurrence(uniform3) - 1.0) <= 1e-9
     assert af_concurrence(from_schmidt([1.0, 0.0])) == 0.0
+    assert af_concurrence(from_amplitudes(1, 3, [(0, 1, 1.0)])) == 0.0  # d = 1
     two_term = from_schmidt([math.sqrt(0.5), math.sqrt(0.5), 0.0])
     third = from_schmidt([math.sqrt(1 / 6), math.sqrt(1 / 6), math.sqrt(2 / 3)])
     assert abs(af_concurrence(two_term) - 0.8660254037844386) <= 1e-12
@@ -312,6 +313,7 @@ def test_af_concurrence_non_square_uses_min_dimension():
 def test_rungta_concurrence_values():
     assert abs(rungta_concurrence(bell_state()) - 1.0) <= 1e-12
     assert rungta_concurrence(from_schmidt([1.0, 0.0])) == 0.0
+    assert rungta_concurrence(from_amplitudes(1, 3, [(0, 1, 1.0)])) == 0.0  # d = 1
     state = diagonal_state([0.5, 0.4, 0.1])
     assert abs(rungta_concurrence(state) - 1.0770329614269007) <= 1e-12  # sqrt(1.16)
 

@@ -198,6 +198,7 @@ CASES = [
         "norm 0.5 deviates from 1 beyond 1e-6; pass renormalize",
     ),
     ("top-level-list", "measure", "[1e999]", 2, not_finite("1e999")),
+    ("density-dims", "wootters", '{"dims": [2], "matrix": []}', 2, "{path}: density 'dims' must be [4]"),
 ]
 
 

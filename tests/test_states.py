@@ -68,6 +68,8 @@ def test_from_amplitudes_rejects_bad_indices_and_duplicates():
         from_amplitudes(2, 2, [(0, 0, 0.0)])
     with pytest.raises(DimensionMismatch):
         from_amplitudes(0, 2, [(0, 0, 1.0)])
+    with pytest.raises(ValueError):  # an entry is a triple, never cut to one
+        from_amplitudes(2, 2, [(0, 0, 1.0, 0.0)])
 
 
 def loop_assembled(dim_a, dim_b, entries):
