@@ -46,6 +46,7 @@ from .measures import (
     binary_entropy,
     eof_from_concurrence,
     eof_pure,
+    hierarchies,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,

@@ -29,6 +29,7 @@ from .measures import (
     af_concurrence,
     eof_from_concurrence,
     eof_pure,
+    hierarchies,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
@@ -141,7 +142,7 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
 def _cmd_wootters(args) -> tuple[ReportDocument, int]:
     rho, digest = parse_density(args.density)
     lambdas = spin_flip_lambdas(rho)
-    concurrence = wootters_concurrence(rho)
+    concurrence = wootters_concurrence(rho, lambdas)
     results = {
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
@@ -171,7 +172,9 @@ def _cmd_scan(args) -> tuple[ReportDocument, int]:
         for index in range(start, min(start + pairs_per_chunk, args.samples)):
             rng = seeded_rng((args.seed, index))  # per-sample stream: schedule-independent
             pairs.append((random_pure(args.dims, args.dims, rng), random_pure(args.dims, args.dims, rng)))
-        schmidt_spectra([state for pair in pairs for state in pair])  # fills each state's cache
+        chunk = [state for pair in pairs for state in pair]
+        schmidt_spectra(chunk)  # one SVD call and one e_k pass fill every state's caches
+        hierarchies(chunk)
         for first, second in pairs:
             counts[conversion_class(first, second)] += 1
     results = {

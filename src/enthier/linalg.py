@@ -9,9 +9,10 @@ and the Newton route on powers and traces of the Gram matrix (BLAS), which
 no other route forms. Only the e_k recurrence, the Householder
 bidiagonalization and the path-matching recurrence are written out here.
 
-The SVD kernel takes a stack of matrices in one call, and a single matrix
-is a stack of one. ``scan`` gets the spectra of a chunk of pairs, at most
-2^16 amplitude entries, from one call.
+The SVD kernel and the e_k recurrence each take a stack in one call, a
+matrix or a spectrum per row, and a single input is a stack of one.
+``scan`` gets the spectra of a chunk of pairs, at most 2^16 amplitude
+entries, from one SVD call and their levels from one e_k pass.
 """
 
 from __future__ import annotations
@@ -82,19 +83,26 @@ def singular_values_squared(matrices) -> np.ndarray:
 
 
 def elementary_symmetric(values) -> np.ndarray:
-    """Elementary symmetric polynomials e_1..e_n of the given n reals.
+    """Elementary symmetric polynomials e_1..e_n of n reals, or of each row
+    of a stack of them: for input of shape (..., n), an array of the same
+    shape whose last axis holds e_1..e_n.
 
     One pass of the stable one-value-at-a-time recurrence
-    e_j <- e_j + v * e_{j-1}, with e_0 = 1, updates every level at once.
+    e_j <- e_j + v * e_{j-1}, with e_0 = 1, updates every level of every
+    row at once. The levels run along the first axis of the work array, so
+    each step is one multiply and one add on two fixed views of it. A 1-D
+    sequence is a stack of one, and every row has the bits a call on that
+    row alone would give.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be a 1-D sequence")
-    e = np.zeros(v.size + 1)
+    if v.ndim < 1:
+        raise ValueError("values must be a sequence or a stack of them")
+    e = np.zeros((v.shape[-1] + 1,) + v.shape[:-1])
     e[0] = 1.0
-    for value in v:
-        e[1:] += value * e[:-1]  # the right side is formed before e changes
-    return e[1:]
+    head, tail = e[:-1], e[1:]  # e_{j-1} and e_j for every level j at once
+    for column in v.transpose(-1, *range(v.ndim - 1)):
+        tail += column * head  # the right side is formed before e changes
+    return tail.transpose(*range(1, v.ndim), 0)
 
 
 def _phase(z, size: float):

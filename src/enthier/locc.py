@@ -82,10 +82,10 @@ def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdi
     lam_source = schmidt_spectrum(source)
     lam_target = schmidt_spectrum(target)
     n = max(lam_source.size, lam_target.size)
-    ps = np.cumsum(_padded(lam_source, n))
-    pt = np.cumsum(_padded(lam_target, n))
-    forward = bool(np.all(ps <= pt + PREFIX_TOL))
-    backward = bool(np.all(pt <= ps + PREFIX_TOL))
+    ps = _padded(lam_source, n).cumsum()
+    pt = _padded(lam_target, n).cumsum()
+    forward = bool((ps <= pt + PREFIX_TOL).all())
+    backward = bool((pt <= ps + PREFIX_TOL).all())
     return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(ps.tolist()), tuple(pt.tolist()))
 
 
@@ -101,8 +101,8 @@ def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport
     slacks = _padded(cs, n) - _padded(ct, n)
     return DominanceReport(
         slacks=tuple(slacks.tolist()),
-        source_dominates=bool(np.all(slacks >= -SLACK_TOL)),
-        target_dominates=bool(np.all(slacks <= SLACK_TOL)),
+        source_dominates=bool((slacks >= -SLACK_TOL).all()),
+        target_dominates=bool((slacks <= SLACK_TOL).all()),
     )
 
 

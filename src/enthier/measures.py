@@ -5,7 +5,9 @@ the Schmidt spectrum) is computed along three routes that share no
 numerics, so each cross-checks the others:
 
 * ``hierarchy``: the squared singular values of the amplitude matrix
-  (one LAPACK SVD), then the e_k recurrence;
+  (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` runs that
+  recurrence once over a stack of states and caches each row on its
+  state;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
   (Cauchy-Binet), summed on a bidiagonal form from hand-written
   Householder steps (no LAPACK factorization, no Gram matrix);
@@ -59,10 +61,37 @@ class Separability(Enum):
     ENTANGLED = "entangled"
 
 
+def hierarchies(states) -> np.ndarray:
+    """Hierarchies of one or more same-shape states, as an (n, d) array
+    with d = min(dim_a, dim_b): row i holds C_1..C_d of state i.
+
+    One e_k pass serves the whole batch, over the states' Schmidt spectra
+    (cached ones are not taken again), and each row is stored as that
+    state's cached hierarchy, so later ``hierarchy`` calls on these states
+    compute nothing. Rows have the bits of a batch of one.
+    """
+    states = list(states)
+    shapes = {state.amplitudes.shape for state in states}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
+    levels = elementary_symmetric(np.array([schmidt_spectrum(state) for state in states]))
+    levels.setflags(write=False)  # rows are views, so the cached hierarchies are read-only too
+    for state, row in zip(states, levels):
+        object.__setattr__(state, "_levels", row)
+    return levels
+
+
 def hierarchy(state: PureState) -> np.ndarray:
     """C_k = e_k(schmidt spectrum) for k = 1..d, d = min(dim_a, dim_b),
-    all levels from one pass of the e_k recurrence."""
-    return elementary_symmetric(schmidt_spectrum(state))
+    all levels from one pass of the e_k recurrence.
+
+    The levels are cached on the state; an uncached state is a batch of
+    one for ``hierarchies``, so every hierarchy comes from one kernel.
+    """
+    cached = state._levels
+    if cached is not None:
+        return cached
+    return hierarchies([state])[0]
 
 
 def hierarchy_via_minors(state: PureState) -> np.ndarray:
@@ -223,9 +252,10 @@ def spin_flip_lambdas(rho) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def wootters_concurrence(rho) -> float:
-    """Two-qubit mixed-state concurrence max{0, l1 - l2 - l3 - l4}."""
-    lam = spin_flip_lambdas(rho)
+def wootters_concurrence(rho, lambdas: np.ndarray | None = None) -> float:
+    """Two-qubit mixed-state concurrence max{0, l1 - l2 - l3 - l4}.
+    ``lambdas`` is rho's ``spin_flip_lambdas``, if the caller has it already."""
+    lam = spin_flip_lambdas(rho) if lambdas is None else lambdas
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
@@ -268,6 +298,7 @@ __all__ = [
     "NEWTON_DIM_LIMIT",
     "SPIN_FLIP",
     "Separability",
+    "hierarchies",
     "hierarchy",
     "hierarchy_via_minors",
     "hierarchy_via_invariants",

@@ -65,6 +65,7 @@ class PureState:
 
     amplitudes: np.ndarray
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
+    _levels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex)
@@ -85,7 +86,7 @@ class PureState:
         a.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "amplitudes", a)
-        return state  # its _spectrum is the class default, None
+        return state  # its _spectrum and _levels are the class defaults, None
 
     @property
     def dim_a(self) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import enthier
-from enthier import cli, linalg, measures, statefile, states
+from enthier import cli, linalg, locc, measures, statefile, states
 from enthier.cli import build_parser, main
 from enthier.linalg import seeded_rng
 from enthier.locc import conversion_class, hierarchy_dominance
@@ -299,6 +299,47 @@ def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, 
 HAAR_5X8 = str(SNAPSHOTS / "state_haar_5x8.json")
 
 
+GOLDEN_PAIR = [str(SNAPSHOTS / "state_050_040_010.json"), str(SNAPSHOTS / "state_060_020_020.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, passes, svds",
+    [
+        (["scan", "--dims", "3", "--samples", "50"], 1, 1),
+        (["locc", *GOLDEN_PAIR], 2, 2),
+        *[(["measure", HAAR_5X8, "--path", route], 1, 1) for route in ("eig", "minors", "newton")],
+        (["schmidt", HAAR_5X8], 0, 1),
+    ],
+    ids=["scan", "locc", "measure-eig", "measure-minors", "measure-newton", "schmidt"],
+)
+def test_each_state_takes_one_spectrum_and_one_level_pass(capsys, monkeypatch, argv, passes, svds):
+    # scan stacks a chunk's spectra into one SVD call and its levels into one
+    # e_k pass; every later lookup of either is a cache hit
+    counts = count_calls(monkeypatch, [(linalg, "elementary_symmetric"), (linalg, "singular_values_squared")])
+    assert main(argv) == 0
+    assert counts["linalg.elementary_symmetric"] == passes
+    assert counts["linalg.singular_values_squared"] == svds
+
+
+def test_scan_still_classifies_each_pair_through_the_per_pair_verdicts(capsys, monkeypatch):
+    counts = count_calls(
+        monkeypatch,
+        [
+            (locc, "conversion_class"),
+            (locc, "nielsen_verdict"),
+            (locc, "hierarchy_dominance"),
+            (measures, "hierarchy"),
+            (states, "schmidt_spectrum"),
+        ],
+    )
+    assert main(["scan", "--dims", "3", "--samples", "50"]) == 0
+    # what the benchmark's coverage check needs this call to reach
+    assert counts["locc.conversion_class"] == counts["locc.nielsen_verdict"] == 50
+    assert counts["locc.hierarchy_dominance"] > 0
+    assert counts["measures.hierarchy"] == 2 * counts["locc.hierarchy_dominance"]
+    assert counts["states.schmidt_spectrum"] > 0
+
+
 @pytest.mark.parametrize(
     "argv, drawn, parsed",
     [
@@ -420,6 +461,22 @@ def test_wootters_werner_golden(tmp_path, capsys):
     code, payload = run_json(capsys, ["wootters", path])
     assert code == 0
     assert abs(payload["results"]["concurrence"] - 0.85) <= 1e-9
+
+
+def test_wootters_validates_and_takes_the_lambdas_once_per_route(tmp_path, capsys, monkeypatch):
+    rho = 0.9 * bell_projector() + 0.1 * np.eye(4) / 4.0
+    path = write_json(tmp_path, "werner.json", density_doc(rho))
+    counts = count_calls(
+        monkeypatch,
+        [(measures, "require_two_qubit_density"), (measures, "spin_flip_lambdas"), (linalg, "singular_values_squared")],
+    )
+    code, payload = run_json(capsys, ["wootters", path])
+    assert code == 0
+    assert abs(payload["results"]["concurrence"] - 0.85) <= 1e-9
+    # once for the lambdas and once in ppt_check, which keeps its own validation
+    assert counts["measures.require_two_qubit_density"] == 2
+    assert counts["measures.spin_flip_lambdas"] == 1
+    assert counts["linalg.singular_values_squared"] == 1
 
 
 def test_wootters_invalid_density_is_domain_error(tmp_path, capsys):

@@ -115,6 +115,18 @@ def test_elementary_symmetric_annihilating_zero():
     assert elementary_symmetric([0.2, 0.0, 0.5, 0.3])[3] == 0.0
 
 
+def test_elementary_symmetric_stacks_rows_bit_for_bit():
+    rng = seeded_rng(110)
+    for shape in ((1, 1), (4, 3), (2, 3, 5), (3, 48), (2, 0)):
+        values = rng.standard_normal(shape)  # signed values too: the kernel takes any reals
+        levels = elementary_symmetric(values)
+        assert levels.shape == shape
+        for index in np.ndindex(shape[:-1]):
+            assert levels[index].tobytes() == elementary_symmetric(values[index]).tobytes()
+    with pytest.raises(ValueError):
+        elementary_symmetric(0.5)
+
+
 def test_elementary_symmetric_against_enumeration():
     rng = seeded_rng(109)
     for _ in range(20):

@@ -13,12 +13,15 @@ from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
 from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict, t_transform_source
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
+    SPIN_FLIP,
     af_concurrence,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
     invariants,
+    partial_transpose_b,
     rungta_concurrence,
+    spin_flip_lambdas,
     wootters_concurrence,
     wootters_pure,
 )
@@ -325,6 +328,40 @@ def test_wootters_concurrence_of_projector_is_pure_concurrence(product, seed):
     assert abs(wootters_concurrence(density_matrix(state)) - wootters_pure(state)) <= WOOTTERS_TOL
     # on 2x2 states both two-level normalizations are 2 |det A|
     assert max(abs(c(state) - wootters_pure(state)) for c in (rungta_concurrence, af_concurrence)) <= WOOTTERS_TOL
+
+
+def ginibre_density(rank, rng):
+    """Two-qubit density G G^dagger / Tr, G a 4 x rank complex Gaussian."""
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@derandomized
+@given(rank=st.integers(min_value=1, max_value=4), seed=seeds)
+def test_spin_flip_lambdas_match_a_general_eigensolver(rank, seed):
+    # A second route: the squared lambdas are the eigenvalues of rho rho~,
+    # rho~ = S rho* S, from LAPACK geev, which the SVD route does not use.
+    # Roots of geev's values near 0 lose to ~4e-8, so the squares are compared.
+    rho = ginibre_density(rank, seeded_rng(seed))
+    lambdas = spin_flip_lambdas(rho)
+    reference = np.sort(np.linalg.eigvals(rho @ SPIN_FLIP @ rho.conj() @ SPIN_FLIP).real)[::-1]
+    assert np.max(np.abs(lambdas**2 - reference)) <= 1e-13
+    assert wootters_concurrence(rho, lambdas) == wootters_concurrence(rho)
+
+
+@derandomized
+@given(rank=st.integers(min_value=1, max_value=4), seed=seeds)
+def test_negativity_is_sandwiched_by_the_concurrence(rank, seed):
+    # N <= C and N >= sqrt((1 - C)^2 + C^2) - (1 - C) for every two-qubit
+    # density (Verstraete, Audenaert, Dehaene and De Moor, J. Phys. A 34,
+    # 10327, 2001); rank 1 meets the upper bound, so it needs a tolerance.
+    rho = ginibre_density(rank, seeded_rng(seed))
+    c = wootters_concurrence(rho)
+    negativity = 2.0 * max(0.0, -np.linalg.eigvalsh(partial_transpose_b(rho))[0])
+    assert negativity <= c + WOOTTERS_TOL
+    assert negativity >= math.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c) - WOOTTERS_TOL
 
 
 # Signed zeros and subnormals, the values a lossy writer would drop or flush.

@@ -15,8 +15,9 @@ from enthier.errors import (
     NotNormalized,
     ZeroState,
 )
+from enthier import states
 from enthier.linalg import random_unitary, seeded_rng
-from enthier.measures import hierarchy
+from enthier.measures import hierarchies, hierarchy
 from enthier.states import (
     PureState,
     apply_local_unitary,
@@ -223,6 +224,51 @@ def test_stacked_spectra_are_read_only_and_need_one_shape():
         schmidt_spectra([random_pure(2, 2, rng), random_pure(2, 3, rng)])
     with pytest.raises(DimensionMismatch):
         schmidt_spectra([])
+
+
+def test_stacked_hierarchies_match_batches_of_one_bit_for_bit():
+    rng = seeded_rng(213)
+    for batch in stacking_cases(rng):
+        stacked = [PureState(a) for a in batch]
+        levels = hierarchies(stacked)
+        assert levels.shape == (len(batch), min(batch[0].shape))
+        for amplitudes, state, row in zip(batch, stacked, levels):
+            assert state._levels.tobytes() == row.tobytes()  # the batch filled the cache
+            assert row.tobytes() == hierarchy(PureState(amplitudes)).tobytes()
+
+
+def test_hierarchy_returns_the_cached_read_only_row(monkeypatch):
+    rng = seeded_rng(214)
+    batch = [random_pure(3, 3, rng) for _ in range(4)]
+    schmidt_spectra(batch)
+
+    def no_second_svd(matrices):
+        raise AssertionError("a cached spectrum was taken again")
+
+    monkeypatch.setattr(states, "singular_values_squared", no_second_svd)
+    levels = hierarchies(batch)
+    monkeypatch.undo()
+    for state, row in zip(batch, levels):
+        assert hierarchy(state) is state._levels
+        assert hierarchy(state).tobytes() == row.tobytes()
+    with pytest.raises(ValueError):
+        levels[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        hierarchy(batch[0])[0] = 0.0
+    lone = random_pure(2, 4, rng)
+    with pytest.raises(ValueError):
+        hierarchy(lone)[0] = 0.0
+    assert hierarchy(lone) is lone._levels
+
+
+def test_stacked_hierarchies_need_one_shape():
+    rng = seeded_rng(215)
+    with pytest.raises(DimensionMismatch):
+        hierarchies([random_pure(2, 3, rng), random_pure(3, 2, rng)])
+    with pytest.raises(DimensionMismatch):
+        hierarchies([random_pure(2, 2, rng), random_pure(3, 3, rng)])
+    with pytest.raises(DimensionMismatch):
+        hierarchies([])
 
 
 def test_bell_state_spectrum():
