@@ -134,7 +134,7 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
             "target_dominates": dominance.target_dominates,
             "mixed": dominance.mixed,
         },
-        "conversion_class": conversion_class(source, target),
+        "conversion_class": conversion_class(source, target, verdict, dominance),
     }
     return _report(args, results, source_digest=source_digest, target_digest=target_digest), 0
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -62,47 +64,43 @@ _VERDICTS = {
 }
 
 
-def _padded(values: np.ndarray, length: int) -> np.ndarray:
-    """``values`` followed by zeros up to ``length`` entries."""
-    if values.size == length:
-        return values
-    padded = np.zeros(length)
-    padded[: values.size] = values
-    return padded
-
-
 def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdict:
     """LOCC convertibility between two pure states.
 
     Forward means source -> target is possible; spectra of unequal length
-    are zero-padded. Both spectra are descending with unit sum, so only
-    the prefix sums need comparing. Comparisons at the tolerance boundary
-    resolve toward convertibility.
+    are zero-padded, so the shorter prefix sums repeat their last value.
+    Both spectra are descending with unit sum, so only the prefix sums need
+    comparing. Comparisons at the tolerance boundary resolve toward
+    convertibility. The sums are sequential double-precision additions, as
+    ``cumsum`` forms them.
     """
-    lam_source = schmidt_spectrum(source)
-    lam_target = schmidt_spectrum(target)
-    n = max(lam_source.size, lam_target.size)
-    ps = _padded(lam_source, n).cumsum()
-    pt = _padded(lam_target, n).cumsum()
-    forward = bool((ps <= pt + PREFIX_TOL).all())
-    backward = bool((pt <= ps + PREFIX_TOL).all())
-    return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(ps.tolist()), tuple(pt.tolist()))
+    ps = list(accumulate(schmidt_spectrum(source).tolist()))
+    pt = list(accumulate(schmidt_spectrum(target).tolist()))
+    n = max(len(ps), len(pt))
+    ps += ps[-1:] * (n - len(ps))
+    pt += pt[-1:] * (n - len(pt))
+    forward = all(s <= t + PREFIX_TOL for s, t in zip(ps, pt))
+    backward = all(t <= s + PREFIX_TOL for s, t in zip(ps, pt))
+    return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(ps), tuple(pt))
 
 
 def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport:
-    """Compare the concurrence hierarchies level by level.
+    """Compare the concurrence hierarchies level by level; the shorter
+    hierarchy is padded with zero levels.
 
     Source dominance (all slacks >= -1e-12) is necessary for
     source -> target convertibility, but not sufficient.
     """
-    cs = hierarchy(source)
-    ct = hierarchy(target)
-    n = max(cs.size, ct.size)
-    slacks = _padded(cs, n) - _padded(ct, n)
+    cs = hierarchy(source).tolist()
+    ct = hierarchy(target).tolist()
+    n = max(len(cs), len(ct))
+    cs += [0.0] * (n - len(cs))
+    ct += [0.0] * (n - len(ct))
+    slacks = tuple(map(sub, cs, ct))
     return DominanceReport(
-        slacks=tuple(slacks.tolist()),
-        source_dominates=bool((slacks >= -SLACK_TOL).all()),
-        target_dominates=bool((slacks <= SLACK_TOL).all()),
+        slacks=slacks,
+        source_dominates=min(slacks) >= -SLACK_TOL,
+        target_dominates=max(slacks) <= SLACK_TOL,
     )
 
 
@@ -124,13 +122,26 @@ def t_transform_source(target, steps: int, rng: np.random.Generator) -> np.ndarr
     return np.sort(spectrum)[::-1]
 
 
-def conversion_class(source: PureState, target: PureState) -> str:
+def conversion_class(
+    source: PureState,
+    target: PureState,
+    verdict: ConvertibilityVerdict | None = None,
+    dominance: DominanceReport | None = None,
+) -> str:
     """Classify a pair: comparable under Nielsen, or incomparable with
-    mixed / one-sided hierarchy dominance."""
-    if nielsen_verdict(source, target).verdict is not Verdict.INCOMPARABLE:
+    mixed / one-sided hierarchy dominance.
+
+    A caller that has already taken the pair's ``verdict`` or ``dominance``
+    passes it in, and it is not taken again; the dominance is taken only
+    for an incomparable pair.
+    """
+    if verdict is None:
+        verdict = nielsen_verdict(source, target)
+    if verdict.verdict is not Verdict.INCOMPARABLE:
         return COMPARABLE
-    report = hierarchy_dominance(source, target)
-    return INCOMPARABLE_MIXED if report.mixed else INCOMPARABLE_FULL
+    if dominance is None:
+        dominance = hierarchy_dominance(source, target)
+    return INCOMPARABLE_MIXED if dominance.mixed else INCOMPARABLE_FULL
 
 
 __all__ = [

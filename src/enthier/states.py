@@ -199,14 +199,25 @@ def apply_local_unitary(state: PureState, u, v) -> PureState:
 
 
 def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
-    """Haar-induced random state: normalized complex Gaussian amplitudes."""
+    """Haar-induced random state: normalized complex Gaussian amplitudes.
+
+    One draw takes the real block, then the imaginary block, from ``rng``,
+    and the norm is formed as ``np.linalg.norm`` forms it, so the amplitudes
+    have the bits of two (dim_a, dim_b) draws divided by that norm.
+    """
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
     try:
-        z = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
+        draws = rng.standard_normal((2, dim_a, dim_b))
     except ValueError as exc:  # a shape numpy cannot address, refused before drawing
         raise MemoryError(f"{dim_a}x{dim_b} amplitudes: {exc}") from None
-    return PureState._owned(z / np.linalg.norm(z))
+    z = np.empty((dim_a, dim_b), dtype=complex)
+    z.real = draws[0]
+    z.imag = draws[1]
+    flat = z.reshape(-1)
+    re, im = flat.real, flat.imag  # strided views, the operands norm's dot takes
+    z /= np.sqrt(re.dot(re) + im.dot(im))
+    return PureState._owned(z)
 
 
 def density_matrix(state: PureState) -> np.ndarray:

@@ -341,6 +341,22 @@ def test_scan_still_classifies_each_pair_through_the_per_pair_verdicts(capsys, m
 
 
 @pytest.mark.parametrize(
+    "pair",
+    [GOLDEN_PAIR, GOLDEN_PAIR[::-1], [GOLDEN_PAIR[0], GOLDEN_PAIR[0]], [HAAR_5X8, GOLDEN_PAIR[1]]],
+    ids=["incomparable", "incomparable-swapped", "equivalent", "mixed-shapes"],
+)
+def test_locc_takes_each_verdict_once(capsys, monkeypatch, pair):
+    counts = count_calls(
+        monkeypatch, [(locc, "conversion_class"), (locc, "nielsen_verdict"), (locc, "hierarchy_dominance")]
+    )
+    assert main(["locc", *pair, "--json"]) == 0
+    # conversion_class classifies from the two results locc has already taken
+    assert counts["locc.nielsen_verdict"] == 1
+    assert counts["locc.hierarchy_dominance"] == 1
+    assert counts["locc.conversion_class"] == 1
+
+
+@pytest.mark.parametrize(
     "argv, drawn, parsed",
     [
         (["scan", "--dims", "3", "--samples", "50"], 100, 0),
@@ -588,6 +604,30 @@ def reference_scan_counts(dims, samples, seed):
     return counts
 
 
+def replayed_scan_counts(dims, samples, seed):
+    """Scan's counts replayed with numpy alone, none of the package's code:
+    the seed-replay draws, spectra from np.linalg.svd, levels from np.poly,
+    and the cumsum prefix and slack comparisons at the verdicts' 1e-12."""
+    counts = {"comparable": 0, "incomparable-mixed-dominance": 0, "incomparable-full-dominance": 0}
+    for index in range(samples):
+        rng = np.random.default_rng((seed, index))
+        spectra = []
+        for _ in range(2):
+            z = rng.standard_normal((dims, dims)) + 1j * rng.standard_normal((dims, dims))
+            squares = np.linalg.svd(z / np.linalg.norm(z), compute_uv=False) ** 2
+            spectra.append(squares / squares.sum())
+        ps, pt = (spectrum.cumsum() for spectrum in spectra)
+        if (ps <= pt + 1e-12).all() or (pt <= ps + 1e-12).all():
+            counts["comparable"] += 1
+            continue
+        # np.poly gives the coefficients of prod(x - lambda_i): (-1)^k e_k
+        signs = (-1.0) ** np.arange(1, dims + 1)
+        slacks = (np.poly(spectra[0])[1:] - np.poly(spectra[1])[1:]) * signs
+        one_sided = (slacks >= -1e-12).all() or (slacks <= 1e-12).all()
+        counts["incomparable-full-dominance" if one_sided else "incomparable-mixed-dominance"] += 1
+    return counts
+
+
 @pytest.mark.parametrize("dims", [2, 3, 8])
 def test_scan_pairs_states_across_chunk_boundaries(monkeypatch, capsys, dims):
     # Seven pairs per chunk: 53 samples make seven full chunks and one of four.
@@ -596,6 +636,8 @@ def test_scan_pairs_states_across_chunk_boundaries(monkeypatch, capsys, dims):
         code, payload = run_json(capsys, ["scan", "--dims", str(dims), "--samples", "53", "--seed", str(seed)])
         assert code == 0
         assert payload["results"]["counts"] == reference_scan_counts(dims, 53, seed)
+        # independent of random_pure and the verdicts, which the reference shares with scan
+        assert payload["results"]["counts"] == replayed_scan_counts(dims, 53, seed)
 
 
 # ---------------------------------------------------------- paper-examples

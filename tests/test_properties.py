@@ -2,15 +2,24 @@
 
 import math
 import struct
+from itertools import accumulate
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
-from enthier.locc import Verdict, conversion_class, hierarchy_dominance, nielsen_verdict, t_transform_source
+from enthier.locc import (
+    PREFIX_TOL,
+    SLACK_TOL,
+    Verdict,
+    conversion_class,
+    hierarchy_dominance,
+    nielsen_verdict,
+    t_transform_source,
+)
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     SPIN_FLIP,
@@ -27,7 +36,15 @@ from enthier.measures import (
 )
 from enthier.reference import diagonal_state
 from enthier.statefile import parse_state, write_state
-from enthier.states import PureState, apply_local_unitary, density_matrix, from_amplitudes, from_schmidt, random_pure
+from enthier.states import (
+    PureState,
+    apply_local_unitary,
+    density_matrix,
+    from_amplitudes,
+    from_schmidt,
+    random_pure,
+    schmidt_spectrum,
+)
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
 HAAR_LEVEL_RTOL = 1e-10  # worst seen over 600 Haar draws with d <= 8: 2.3e-14
@@ -177,6 +194,122 @@ def test_nielsen_verdict_and_class_survive_local_unitaries_and_zero_padding(shap
     ]
     for first, second in variants:
         assert (nielsen_verdict(first, second).verdict, conversion_class(first, second)) == expected
+
+
+def nudged(value, ulps):
+    """``value`` moved ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def solved(f, goal, guess):
+    """A float x near ``guess`` with f(x) == goal, for f nondecreasing."""
+    x = guess
+    for _ in range(64):
+        if f(x) == goal:
+            return x
+        x = math.nextafter(x, math.inf if f(x) < goal else -math.inf)
+    assume(False)
+
+
+unit_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
+
+
+@st.composite
+def verdict_inputs(draw):
+    """Spectra and levels of a source and a target: independent, of lengths
+    1-12, or equal, or equal but for one prefix sum or one slack placed
+    exactly at the tolerance boundary of a comparison, or one ulp off it."""
+    target_spectrum, target_levels = draw(unit_lists), draw(unit_lists)
+    kind = draw(st.sampled_from(["independent", "equal", "prefix-gap", "slack-gap"]))
+    if kind == "independent":
+        return draw(unit_lists), draw(unit_lists), target_spectrum, target_levels
+    source_spectrum, source_levels = list(target_spectrum), list(target_levels)
+    ulps, sign, truncate = draw(st.integers(-1, 1)), draw(st.sampled_from([1, -1])), draw(st.booleans())
+    if kind == "prefix-gap":
+        k = draw(st.integers(0, len(target_spectrum) - 1))
+        pt = list(accumulate(target_spectrum))
+        if sign > 0:  # the forward comparison ps_k <= pt_k + PREFIX_TOL holds with equality
+            goal = pt[k] + PREFIX_TOL
+        else:  # the backward comparison pt_k <= ps_k + PREFIX_TOL holds with equality
+            goal = solved(lambda x: x + PREFIX_TOL, pt[k], pt[k] - PREFIX_TOL)
+        goal, before = nudged(goal, ulps), pt[k - 1] if k else 0.0
+        source_spectrum[k] = solved(lambda x: before + x, goal, goal - before)
+        if truncate:  # the padded prefix sums repeat the one at the boundary
+            del source_spectrum[k + 1 :]
+    elif kind == "slack-gap":
+        k = draw(st.integers(0, len(target_levels) - 1))
+        # low is a multiple of SLACK_TOL's ulp (2^-92) far below it, so high - low == SLACK_TOL exactly
+        low = 0.0 if truncate else draw(st.integers(0, 2**20)) * 2.0**-92
+        high = low + SLACK_TOL
+        source_levels[k], target_levels[k] = (high, low) if sign > 0 else (low, high)
+        source_levels[k] = nudged(source_levels[k], ulps)
+        if truncate and k and source_levels[k] == 0.0:  # a padded zero level gives the same slack
+            del source_levels[k:]
+    return source_spectrum, source_levels, target_spectrum, target_levels
+
+
+def cached_stand_in(spectrum, levels):
+    """A 1x1 state whose cached spectrum and hierarchy are the given values,
+    so that the verdicts read exactly these."""
+    state = PureState(np.ones((1, 1)))
+    object.__setattr__(state, "_spectrum", np.array(spectrum, dtype=float))
+    object.__setattr__(state, "_levels", np.array(levels, dtype=float))
+    return state
+
+
+def numpy_verdicts(source, target):
+    """The verdicts' former numpy formulation, field for field: arrays
+    zero-padded to a common length, cumsum prefix sums, and vectorized
+    comparisons at PREFIX_TOL and SLACK_TOL."""
+
+    def padded(values, length):
+        out = np.zeros(length)
+        out[: values.size] = values
+        return out
+
+    lam_source, lam_target = schmidt_spectrum(source), schmidt_spectrum(target)
+    n = max(lam_source.size, lam_target.size)
+    ps, pt = padded(lam_source, n).cumsum(), padded(lam_target, n).cumsum()
+    cs, ct = hierarchy(source), hierarchy(target)
+    m = max(cs.size, ct.size)
+    slacks = padded(cs, m) - padded(ct, m)
+    return {
+        "prefix_flags": (bool((ps <= pt + PREFIX_TOL).all()), bool((pt <= ps + PREFIX_TOL).all())),
+        "source_prefix_sums": bits(ps),
+        "target_prefix_sums": bits(pt),
+        "slacks": bits(slacks),
+        "source_dominates": bool((slacks >= -SLACK_TOL).all()),
+        "target_dominates": bool((slacks <= SLACK_TOL).all()),
+    }
+
+
+PREFIX_FLAGS = {
+    Verdict.EQUIVALENT: (True, True),
+    Verdict.FORWARD_ONLY: (True, False),
+    Verdict.BACKWARD_ONLY: (False, True),
+    Verdict.INCOMPARABLE: (False, False),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(inputs=verdict_inputs())
+def test_verdicts_match_the_former_numpy_formulation_bit_for_bit(inputs):
+    source_spectrum, source_levels, target_spectrum, target_levels = inputs
+    source = cached_stand_in(source_spectrum, source_levels)
+    target = cached_stand_in(target_spectrum, target_levels)
+    for first, second in [(source, target), (target, source)]:
+        verdict, dominance = nielsen_verdict(first, second), hierarchy_dominance(first, second)
+        assert {
+            "prefix_flags": PREFIX_FLAGS[verdict.verdict],
+            "source_prefix_sums": bits(verdict.source_prefix_sums),
+            "target_prefix_sums": bits(verdict.target_prefix_sums),
+            "slacks": bits(dominance.slacks),
+            "source_dominates": dominance.source_dominates,
+            "target_dominates": dominance.target_dominates,
+        } == numpy_verdicts(first, second)
+        assert all(type(value) is float for value in (*verdict.source_prefix_sums, *dominance.slacks))
 
 
 def graded_spectrum(d, decades, rng):

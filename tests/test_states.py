@@ -323,6 +323,21 @@ def test_random_pure_seed_replay():
     assert a == b
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 3), (5, 12), (8, 8), (48, 48)])
+@pytest.mark.parametrize("seed", [0, 1, 206, (7, 3), (2**32 - 1, 41)])
+def test_random_pure_keeps_the_seed_replay_contract(shape, seed):
+    # The contract, replayed here without random_pure: per state, a real then
+    # an imaginary standard_normal block of the state's shape, divided by
+    # np.linalg.norm, two states taken one after the other from one stream.
+    rng, replay = seeded_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        z = replay.standard_normal(shape) + 1j * replay.standard_normal(shape)
+        expected = z / np.linalg.norm(z)
+        amplitudes = random_pure(*shape, rng).amplitudes
+        assert amplitudes.shape == shape and amplitudes.dtype == expected.dtype
+        assert amplitudes.tobytes() == expected.tobytes()
+
+
 def test_random_pure_mean_two_level_concurrence_bounded():
     rng = seeded_rng(207)
     mean_c2 = np.mean([hierarchy(random_pure(3, 3, rng))[1] for _ in range(1000)])
