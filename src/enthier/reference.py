@@ -68,74 +68,71 @@ def build_report() -> tuple[dict, list[str]]:
 
     Returns the machine-readable results plus the list of failed check
     names (empty when everything lands inside tolerance). Each value is
-    computed once, into the results; the golden table then reads it back.
-    Its rows are (name, value, expected, tolerance) for numbers and
-    (name, label, required label, detail) for verdict and dominance labels.
+    checked in the statement that computes it: ``near`` records a number
+    against its golden value and tolerance, ``label`` a verdict or
+    dominance label against the required one; both return the value.
     """
-    spectra = (SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET, SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET)
-    state = {spectrum: diagonal_state(spectrum) for spectrum in spectra}
+    checks = []
 
-    def pair(source, target) -> dict:
-        verdict = nielsen_verdict(state[source], state[target])
+    def near(name, value, expected, tolerance):
+        check = {"name": name, "value": value, "expected": expected, "tolerance": tolerance}
+        checks.append({**check, "passed": abs(value - expected) <= tolerance})
+        return value
+
+    def label(name, value, required, detail):
+        checks.append({"name": name, "passed": value == required, "detail": detail})
+        return value
+
+    spectra = (SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET, SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET)
+    state = {spectrum: diagonal_state(spectrum) for spectrum in dict.fromkeys(spectra)}
+
+    def pair(name, source, target, check, required) -> dict:
+        verdict = nielsen_verdict(state[source], state[target]).verdict.value
         dominance = hierarchy_dominance(state[source], state[target])
-        if dominance.mixed:
-            label = "mixed"
-        else:
-            label = "source-dominates" if dominance.source_dominates else "target-dominates"
-        return {"verdict": verdict.verdict.value, "slacks": list(dominance.slacks), "dominance": label}
+        side = "source" if dominance.source_dominates else "target"
+        found = "mixed" if dominance.mixed else f"{side}-dominates"
+        return {
+            "verdict": label(f"{name} pair incomparable", verdict, "incomparable", verdict),
+            "slacks": list(dominance.slacks),
+            "dominance": label(f"{name} pair {check}", found, required, f"slacks {tuple(dominance.slacks)}"),
+        }
 
     hier = {}
-    for key, spectrum, _, _ in _GOLDEN_LEVELS:
+    for key, spectrum, c2, c3 in _GOLDEN_LEVELS:
         levels = hierarchy(state[spectrum])
-        hier[key] = {"c2": float(levels[1]), "c3": float(levels[2])}
-    mixed = pair(SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET)
-    dominant = pair(SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET)
+        hier[key] = {
+            "c2": near(f"c2 of {spectrum}", float(levels[1]), c2, 1e-12),
+            "c3": near(f"c3 of {spectrum}", float(levels[2]), c3, 1e-12),
+        }
+    verdicts = {
+        "mixed_pair": pair("mixed", SPECTRUM_MIXED_SOURCE, SPECTRUM_MIXED_TARGET, "dominance mixed", "mixed"),
+        "dominant_pair": pair(
+            "dominant", SPECTRUM_DOMINANT_SOURCE, SPECTRUM_DOMINANT_TARGET, "source-dominant", "source-dominates"
+        ),
+    }
     bell = bell_embedded()
     third = x_family(1.0 / 3.0)
-    c3_bell = float(hierarchy_via_minors(bell)[2])
-    c3_third = float(hierarchy_via_minors(third)[2])
-    three = {"c3_two_term_uniform": c3_bell, "c3_x_one_third": c3_third, "gap": c3_third - c3_bell}
-    two = {"af_two_term_uniform": af_concurrence(bell), "af_x_one_third": af_concurrence(third)}
-    x_star = solve_unit_eof_x()
-    root = {"x_star": x_star, "eof_at_root": eof_pure(x_family(x_star)), "eof_two_term_uniform": eof_pure(bell)}
-
-    golden = [
-        (f"c{k} of {spectrum}", hier[key][f"c{k}"], expected, 1e-12)
-        for key, spectrum, c2, c3 in _GOLDEN_LEVELS
-        for k, expected in ((2, c2), (3, c3))
-    ] + [
-        ("mixed pair incomparable", mixed["verdict"], "incomparable", mixed["verdict"]),
-        ("mixed pair dominance mixed", mixed["dominance"], "mixed", f"slacks {tuple(mixed['slacks'])}"),
-        ("dominant pair incomparable", dominant["verdict"], "incomparable", dominant["verdict"]),
-        (
-            "dominant pair source-dominant",
-            dominant["dominance"],
-            "source-dominates",
-            f"slacks {tuple(dominant['slacks'])}",
-        ),
-        ("c3 of the two-term uniform state", three["c3_two_term_uniform"], 0.0, 1e-12),
-        ("c3 of the x=1/3 family member", three["c3_x_one_third"], 1.0 / 54.0, 1e-12),
-        ("c3 gap at x=1/3", three["gap"], 1.0 / 54.0, 1e-12),
-        ("two-level concurrence at x=1/3", two["af_x_one_third"], math.sqrt(0.75), 1e-12),
-        ("two-level concurrence coincidence gap", two["af_x_one_third"] - two["af_two_term_uniform"], 0.0, 1e-12),
-        ("unit-entropy root", root["x_star"], 0.2271, 5e-4),
-        ("eof at the root", root["eof_at_root"], 1.0, 1e-6),
-        ("eof of the two-term uniform state", root["eof_two_term_uniform"], 1.0, 1e-12),
-    ]
-    checks = []
-    for name, value, expected, bound in golden:
-        if isinstance(expected, str):
-            checks.append({"name": name, "passed": value == expected, "detail": bound})
-        else:
-            passed = abs(value - expected) <= bound
-            checks.append(
-                {"name": name, "value": value, "expected": expected, "tolerance": bound, "passed": passed}
-            )
+    c3_bell = near("c3 of the two-term uniform state", float(hierarchy_via_minors(bell)[2]), 0.0, 1e-12)
+    c3_third = near("c3 of the x=1/3 family member", float(hierarchy_via_minors(third)[2]), 1.0 / 54.0, 1e-12)
+    three = {
+        "c3_two_term_uniform": c3_bell,
+        "c3_x_one_third": c3_third,
+        "gap": near("c3 gap at x=1/3", c3_third - c3_bell, 1.0 / 54.0, 1e-12),
+    }
+    af_bell = af_concurrence(bell)
+    af_third = near("two-level concurrence at x=1/3", af_concurrence(third), math.sqrt(0.75), 1e-12)
+    near("two-level concurrence coincidence gap", af_third - af_bell, 0.0, 1e-12)
+    x_star = near("unit-entropy root", solve_unit_eof_x(), 0.2271, 5e-4)
+    root = {
+        "x_star": x_star,
+        "eof_at_root": near("eof at the root", eof_pure(x_family(x_star)), 1.0, 1e-6),
+        "eof_two_term_uniform": near("eof of the two-term uniform state", eof_pure(bell), 1.0, 1e-12),
+    }
     results = {
         "hierarchies": hier,
-        "verdicts": {"mixed_pair": mixed, "dominant_pair": dominant},
+        "verdicts": verdicts,
         "three_level": three,
-        "two_level_coincidence": two,
+        "two_level_coincidence": {"af_two_term_uniform": af_bell, "af_x_one_third": af_third},
         "unit_eof_root": root,
         "checks": checks,
     }

@@ -183,7 +183,8 @@ def schmidt_spectrum(state: PureState) -> np.ndarray:
 
 
 def schmidt_rank(spectrum) -> int:
-    """Number of Schmidt coefficients above RANK_TOL."""
+    """Number of spectrum values lambda = c^2 above RANK_TOL (1e-10), which
+    is the number of Schmidt coefficients c above 1e-5."""
     return int(np.sum(np.asarray(spectrum, dtype=float) > RANK_TOL))
 
 

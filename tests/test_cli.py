@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -309,8 +310,9 @@ GOLDEN_PAIR = [str(SNAPSHOTS / "state_050_040_010.json"), str(SNAPSHOTS / "state
         (["locc", *GOLDEN_PAIR], 2, 2),
         *[(["measure", HAAR_5X8, "--path", route], 1, 1) for route in ("eig", "minors", "newton")],
         (["schmidt", HAAR_5X8], 0, 1),
+        (["paper-examples"], 5, 6),
     ],
-    ids=["scan", "locc", "measure-eig", "measure-minors", "measure-newton", "schmidt"],
+    ids=["scan", "locc", "measure-eig", "measure-minors", "measure-newton", "schmidt", "paper-examples"],
 )
 def test_each_state_takes_one_spectrum_and_one_level_pass(capsys, monkeypatch, argv, passes, svds):
     # scan stacks a chunk's spectra into one SVD call and its levels into one
@@ -719,6 +721,56 @@ def test_paper_examples_dominance_label_comes_from_the_report(monkeypatch):
     results, failures = enthier.reference.build_report()
     assert results["verdicts"]["mixed_pair"]["dominance"] != "mixed"
     assert failures == ["mixed pair dominance mixed"]
+
+
+def nudged(original):
+    return lambda *args: original(*args) * 1.01 + 1e-3
+
+
+def forward_only(original):
+    return lambda source, target: dataclasses.replace(original(source, target), verdict=locc.Verdict.FORWARD_ONLY)
+
+
+@pytest.mark.parametrize(
+    "name, perturb, failed",
+    [
+        (
+            "hierarchy",
+            nudged,
+            [f"c{k} of {spectrum}" for spectrum in ((0.5, 0.4, 0.1), (0.6, 0.2, 0.2), (0.55, 0.3, 0.15)) for k in (2, 3)],
+        ),
+        (
+            "hierarchy_via_minors",
+            nudged,
+            ["c3 of the two-term uniform state", "c3 of the x=1/3 family member", "c3 gap at x=1/3"],
+        ),
+        # the coincidence gap compares two concurrences nudged alike, so it still holds
+        ("af_concurrence", nudged, ["two-level concurrence at x=1/3"]),
+        ("eof_pure", nudged, ["eof at the root", "eof of the two-term uniform state"]),
+        ("solve_unit_eof_x", nudged, ["unit-entropy root", "eof at the root"]),
+        ("nielsen_verdict", forward_only, ["mixed pair incomparable", "dominant pair incomparable"]),
+    ],
+    ids=["hierarchy", "hierarchy_via_minors", "af_concurrence", "eof_pure", "solve_unit_eof_x", "nielsen_verdict"],
+)
+def test_paper_examples_each_check_follows_its_own_value(capsys, monkeypatch, name, perturb, failed):
+    # one input of build_report perturbed: exactly the checks of the values it
+    # feeds fail, in table order, on stderr, in the exit code and in the table
+    import enthier.reference
+
+    monkeypatch.setattr(enthier.reference, name, perturb(getattr(enthier.reference, name)))
+    results, failures = enthier.reference.build_report()
+    assert failures == failed
+    assert failures == [check["name"] for check in results["checks"] if check["name"] in failed]
+    assert main(["paper-examples"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"self-check failed: {', '.join(failed)}\n"
+    marked = [line.strip() for line in captured.out.splitlines() if line.strip().startswith("[FAIL] ")]
+    assert len(marked) == len(failed)
+    for line, check in zip(marked, failed):
+        if name == "nielsen_verdict":
+            assert line == f"[FAIL] {check} (forward-only)"
+        else:
+            assert line.startswith(f"[FAIL] {check}: value=") and " expected=" in line and " tol=" in line
 
 
 # ------------------------------------------------------- schmidt/emit-state

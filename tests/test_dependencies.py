@@ -5,10 +5,14 @@ scipy may be installed alongside, and mpmath and hypothesis serve the tests,
 so an import of any of them from the package would pass everywhere they
 happen to be present and fail where the package is installed on its own.
 Between its own modules the package imports public names only: a name with
-one leading underscore belongs to the module that defines it.
+one leading underscore belongs to the module that defines it. No module-level
+list or tuple holds a function, so a tracer that rebinds every reference to a
+function (benches/tracer.py) can reach them all.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -52,3 +56,17 @@ def private_imports(tree):
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
 def test_package_modules_import_no_private_name_from_each_other(source):
     assert sorted(private_imports(ast.parse(source.read_text(), filename=str(source)))) == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_no_module_level_sequence_holds_a_function(source):
+    # a dict entry can be rebound in place; an entry of a list or tuple cannot
+    module = importlib.import_module("enthier" if source.stem == "__init__" else f"enthier.{source.stem}")
+    held = [
+        f"{key}: {inner.__qualname__}"
+        for key, value in vars(module).items()
+        if isinstance(value, (list, tuple))
+        for inner in value
+        if inspect.isfunction(inner)
+    ]
+    assert held == []

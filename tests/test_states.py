@@ -348,6 +348,9 @@ def test_schmidt_rank_counts():
     assert schmidt_rank([1.0, 0.0, 0.0]) == 1
     assert schmidt_rank([0.5, 0.5, 0.0]) == 2
     assert schmidt_rank([0.6, 0.2, 0.2]) == 3
+    # the rank counts spectrum values above RANK_TOL, coefficients above 1e-5
+    assert schmidt_rank([1 - 1e-10, 1e-10]) == 1
+    assert schmidt_rank([1 - 2e-10, 2e-10]) == 2
 
 
 def test_constructed_states_have_unit_norm():
