@@ -36,6 +36,8 @@ def seeded_rng(seed) -> np.random.Generator:
     """Replayable random stream: one seed, one platform-independent stream.
 
     Accepts an integer seed or a sequence of integers for derived streams.
+    ``scan`` builds most of its ``(seed, index)`` streams without this call,
+    bit for bit the streams it returns, so this stays the replay contract.
     """
     return np.random.default_rng(seed)
 

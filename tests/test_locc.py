@@ -16,7 +16,7 @@ from enthier.locc import (
 )
 from enthier.measures import eof_pure, hierarchy
 from enthier.reference import diagonal_state
-from enthier.states import from_amplitudes, from_schmidt, random_pure
+from enthier.states import PureState, from_amplitudes, from_schmidt, random_pure
 
 
 def random_spectrum(d, rng):
@@ -183,6 +183,43 @@ def test_t_transform_pairs_are_hierarchy_monotone():
         c_source = hierarchy(from_schmidt(np.sqrt(source)))
         c_target = hierarchy(from_schmidt(np.sqrt(target)))
         assert np.all(c_source >= c_target - 1e-12)
+
+
+def test_procrustean_measurement_raises_the_average_c3():
+    # The hierarchy never rises along a deterministic LOCC conversion
+    # (Nielsen), but the raw C_3 can rise on average over the outcomes of a
+    # local measurement. Alice's Procrustean filter (Bennett, Bernstein,
+    # Popescu and Schumacher, PRA 53, 2046, 1996) on lambda = (a, b, b) with
+    # M_1 = diag(sqrt(q), 1, 1), M_2 = diag(sqrt(1 - q), 0, 0): outcome 1 has
+    # p = q a + 2 b, average C_2 = (2 q a b + b^2) / p and average
+    # C_3 = q a b^2 / p^2; outcome 2 is a product state.
+    a, b, q = 0.98, 0.01, 0.02
+    state = from_schmidt(np.sqrt([a, b, b]))
+    kraus = [np.diag(np.sqrt([q, 1.0, 1.0])), np.diag(np.sqrt([1.0 - q, 0.0, 0.0]))]
+    assert np.allclose(sum(m.conj().T @ m for m in kraus), np.eye(3), rtol=0.0, atol=1e-15)
+    weights, outcomes = [], []
+    for m in kraus:
+        branch = m @ state.amplitudes
+        weight = float(np.linalg.norm(branch) ** 2)
+        weights.append(weight)
+        outcomes.append(hierarchy(PureState(branch / math.sqrt(weight))))
+    before = hierarchy(state)
+    average = sum(w * levels for w, levels in zip(weights, outcomes))
+    p = q * a + 2 * b
+    assert weights[0] == pytest.approx(p, rel=1e-12) and p == pytest.approx(0.0396, rel=1e-12)
+    assert before == pytest.approx([1.0, 0.0197, 9.8e-5], rel=1e-12)
+    assert list(outcomes[1]) == pytest.approx([1.0, 0.0, 0.0], rel=0.0, abs=1e-15)
+    # the raw C_3 rises 12.75-fold
+    assert average[2] == pytest.approx(q * a * b * b / p**2, rel=1e-12)
+    assert average[2] == pytest.approx(1.2499e-3, rel=1e-4)
+    assert average[2] / before[2] == pytest.approx(12.75, rel=1e-3)
+    # C_2 and every C_k^(1/k), k >= 2, fall; C_1 = 1 on every outcome
+    assert average[1] == pytest.approx((2 * q * a * b + b * b) / p, rel=1e-12)
+    assert average[1] == pytest.approx(0.01242, rel=1e-3)
+    roots = 1.0 / np.arange(1, 4)
+    average_roots = sum(w * levels**roots for w, levels in zip(weights, outcomes))
+    assert average_roots[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.all(average_roots[1:] < before[1:] ** roots[1:])
 
 
 def test_convertible_pairs_are_eof_monotone():

