@@ -12,7 +12,8 @@ bidiagonalization and the path-matching recurrence are written out here.
 The SVD kernel and the e_k recurrence each take a stack in one call, a
 matrix or a spectrum per row, and a single input is a stack of one.
 ``scan`` gets the spectra of a chunk of pairs, at most 2^16 amplitude
-entries, from one SVD call and their levels from one e_k pass.
+entries, from one SVD call and their levels from one e_k pass, and
+``paper-examples`` those of its fixture states the same way.
 """
 
 from __future__ import annotations

@@ -139,16 +139,17 @@ def hierarchy_via_invariants(state: PureState, power_sums: np.ndarray | None = N
             f"newton route: min dimension {d} exceeds {NEWTON_DIM_LIMIT}"
         )
     if power_sums is None:
-        power_sums = invariants(state)  # p_m = power_sums[m - 1]
-    e = np.zeros(d + 1)
-    e[0] = 1.0
+        power_sums = invariants(state)
+    p = power_sums.tolist()  # p_m = p[m - 1]; Python floats round as numpy's float64 scalars do
+    e = [1.0] + [0.0] * d
     for k in range(1, d + 1):
         acc = 0.0
         for m in range(1, k + 1):
-            acc += (-1.0) ** (m - 1) * e[k - m] * power_sums[m - 1]
+            acc += (-1.0) ** (m - 1) * e[k - m] * p[m - 1]
         e[k] = acc / k
-    e[e < 0.0] = 0.0
-    return e[1:]
+    levels = np.array(e[1:])
+    levels[levels < 0.0] = 0.0
+    return levels
 
 
 def renyi_entropy(state: PureState, order: float) -> float:

@@ -36,21 +36,30 @@ def _normalized(values: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
     scaled squares cannot overflow or all underflow, and power-of-two
     scaling is exact, so dividing by scale, then by the scaled norm, gives
     the bits of dividing by the plain norm whenever that norm is
-    representable. Within _RENORM_SKIP_TOL of 1 the values come back as
-    given.
+    representable. The scaled norm is formed as ``np.linalg.norm`` forms
+    it, one dot per real part. Within _RENORM_SKIP_TOL of 1 the values
+    come back as given.
     """
-    peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
+    is_complex = values.dtype.kind == "c"
+    parts = values.view(float) if is_complex else values  # a complex array as its real and imaginary parts
+    peak = float(abs(parts).max())
     if not math.isfinite(peak):
         raise NonFiniteInput(f"{what} contain non-finite entries")
     if peak == 0.0:
         raise ZeroState(f"all {what} are zero")
     scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
-    scaled_norm = float(np.linalg.norm(values / scale))
+    scaled = values / scale
+    flat = scaled.reshape(-1)
+    if is_complex:
+        re, im = flat.real, flat.imag  # strided views, the operands norm's dot takes
+        scaled_norm = math.sqrt(re.dot(re) + im.dot(im))
+    else:
+        scaled_norm = math.sqrt(flat.dot(flat))
     norm = scale * scaled_norm
     if not renormalize and abs(norm - 1.0) > NORM_GATE:
         raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
     if abs(norm - 1.0) > _RENORM_SKIP_TOL:
-        return values / scale / scaled_norm
+        return scaled / scaled_norm
     return values
 
 
@@ -140,11 +149,11 @@ def from_schmidt(coefficients, renormalize: bool = False) -> PureState:
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise DimensionMismatch("coefficients must be a non-empty 1-D sequence")
-    if np.any(c < 0.0):
-        raise NegativeCoefficient(f"coefficient {c.min()!r} is negative")
+    if (c < 0.0).any():
+        raise NegativeCoefficient(f"coefficient {float(c.min())!r} is negative")
     c = _normalized(c, renormalize, "coefficients")
     a = np.zeros((c.size, c.size), dtype=complex)
-    np.fill_diagonal(a, c.astype(complex))
+    a.reshape(-1)[:: c.size + 1] = c  # the diagonal, through a strided flat view
     return PureState._owned(a)
 
 

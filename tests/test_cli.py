@@ -310,17 +310,38 @@ GOLDEN_PAIR = [str(SNAPSHOTS / "state_050_040_010.json"), str(SNAPSHOTS / "state
         (["locc", *GOLDEN_PAIR], 2, 2),
         *[(["measure", HAAR_5X8, "--path", route], 1, 1) for route in ("eig", "minors", "newton")],
         (["schmidt", HAAR_5X8], 0, 1),
-        (["paper-examples"], 5, 6),
+        (["paper-examples"], 1, 1),
     ],
     ids=["scan", "locc", "measure-eig", "measure-minors", "measure-newton", "schmidt", "paper-examples"],
 )
 def test_each_state_takes_one_spectrum_and_one_level_pass(capsys, monkeypatch, argv, passes, svds):
     # scan stacks a chunk's spectra into one SVD call and its levels into one
-    # e_k pass; every later lookup of either is a cache hit
+    # e_k pass, and paper-examples its fixture states; every later lookup of
+    # either is a cache hit
     counts = count_calls(monkeypatch, [(linalg, "elementary_symmetric"), (linalg, "singular_values_squared")])
     assert main(argv) == 0
     assert counts["linalg.elementary_symmetric"] == passes
     assert counts["linalg.singular_values_squared"] == svds
+
+
+def test_paper_examples_fixture_states_hold_their_batch_of_one_values(monkeypatch):
+    import enthier.reference
+
+    batches = []
+
+    def captured(batch):
+        batches.append(list(batch))
+        return states.schmidt_spectra(batch)
+
+    monkeypatch.setattr(enthier.reference, "schmidt_spectra", captured)
+    enthier.reference.build_report()
+    [batch] = batches
+    # the three distinct pinned spectra, the two-term uniform state, x = 1/3 and the root member
+    assert len(batch) == len({id(state) for state in batch}) == 6
+    for state in batch:
+        alone = states.PureState(state.amplitudes)
+        assert state._spectrum.tobytes() == states.schmidt_spectrum(alone).tobytes()
+        assert state._levels.tobytes() == measures.hierarchy(alone).tobytes()
 
 
 def test_scan_still_classifies_each_pair_through_the_per_pair_verdicts(capsys, monkeypatch):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from enthier import states
+from enthier.errors import DimensionMismatch, EnthierError, NegativeCoefficient, NonFiniteInput, NotNormalized, ZeroState
 from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
 from enthier.locc import (
     PREFIX_TOL,
@@ -41,6 +43,7 @@ from enthier.states import (
     apply_local_unitary,
     density_matrix,
     from_amplitudes,
+    NORM_GATE,
     from_schmidt,
     random_pure,
     schmidt_spectrum,
@@ -628,3 +631,133 @@ def test_amplitude_states_hold_only_what_the_checks_accept(data, dim_a, dim_b, r
     values = (parts[:count] + 1j * parts[count:]).reshape(dim_a, dim_b)
     entries = [(i, j, values[i, j]) for i in range(dim_a) for j in range(dim_b)]
     owned_and_checked(from_amplitudes(dim_a, dim_b, entries, renormalize=renormalize), values, magnitudes)
+
+
+def numpy_normalized(values, renormalize, what):
+    """``states._normalized`` in its former numpy formulation: the peak from
+    np.maximum of the parts' magnitudes, the scaled norm from np.linalg.norm."""
+    peak = float(np.max(np.maximum(np.abs(values.real), np.abs(values.imag))))
+    if not math.isfinite(peak):
+        raise NonFiniteInput(f"{what} contain non-finite entries")
+    if peak == 0.0:
+        raise ZeroState(f"all {what} are zero")
+    scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
+    scaled_norm = float(np.linalg.norm(values / scale))
+    norm = scale * scaled_norm
+    if not renormalize and abs(norm - 1.0) > NORM_GATE:
+        raise NotNormalized(f"norm {norm!r} deviates from 1 beyond 1e-6; pass renormalize")
+    if abs(norm - 1.0) > 1e-12:
+        return values / scale / scaled_norm
+    return values
+
+
+def numpy_from_schmidt(coefficients, renormalize):
+    """``from_schmidt``'s former formulation, returning the amplitude matrix;
+    the refusal names the coefficient as a Python float."""
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 1 or c.size < 1:
+        raise DimensionMismatch("coefficients must be a non-empty 1-D sequence")
+    if np.any(c < 0.0):
+        raise NegativeCoefficient(f"coefficient {float(c.min())!r} is negative")
+    c = numpy_normalized(c, renormalize, "coefficients")
+    a = np.zeros((c.size, c.size), dtype=complex)
+    np.fill_diagonal(a, c.astype(complex))
+    return a
+
+
+def outcome(make, *args):
+    """The bytes of what ``make`` returns, or the class and message of its refusal."""
+    try:
+        return make(*args).tobytes()
+    except EnthierError as exc:
+        return type(exc), str(exc)
+
+
+# deviations from a unit norm on both sides of the 1e-12 skip and the 1e-6 gate
+NORM_DEVIATIONS = [0.0, 4e-13, -4e-13, 3e-12, -3e-12, 9e-7, -9e-7, 2e-6, -2e-6]
+
+
+@st.composite
+def float_parts(draw, count):
+    """``count`` signed parts: graded over up to 80 binades anywhere from
+    subnormal to ~1e308, a unit vector times 1 + delta, or all zero; in a
+    quarter of the draws, one to three parts replaced by +-0.0, +-inf or NaN."""
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=count, max_size=count))
+    mantissas = draw(st.lists(st.floats(0.5, 1.0, exclude_max=True), min_size=count, max_size=count))
+    kind = draw(st.sampled_from(["graded", "near-unit", "near-unit", "zero"]))
+    if kind == "graded":
+        top = draw(st.integers(min_value=-1070, max_value=1024))
+        offsets = draw(st.lists(st.integers(min_value=-80, max_value=0), min_size=count, max_size=count))
+        parts = [s * math.ldexp(m, top + k) for s, m, k in zip(signs, mantissas, offsets)]
+    elif kind == "near-unit":
+        unit = np.array(signs) * np.array(mantissas)
+        delta = draw(st.sampled_from(NORM_DEVIATIONS) | st.floats(min_value=-3e-6, max_value=3e-6))
+        parts = (unit / np.linalg.norm(unit) * (1.0 + delta)).tolist()
+    else:
+        parts = [math.copysign(0.0, s) for s in signs]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+        for position, value in draw(st.lists(st.tuples(st.integers(0, count - 1), specials), min_size=1, max_size=3)):
+            parts[position] = value
+    return parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    count=st.integers(min_value=1, max_value=64),
+    is_complex=st.booleans(),
+    renormalize=st.booleans(),
+)
+def test_normalization_matches_the_former_numpy_formulation_bit_for_bit(data, count, is_complex, renormalize):
+    if is_complex:
+        parts = data.draw(float_parts(2 * count))
+        values = np.empty(count, dtype=complex)
+        values.real, values.imag = parts[:count], parts[count:]  # part by part, so no sign of zero is lost
+        rows = data.draw(st.sampled_from([r for r in range(1, count + 1) if count % r == 0]))
+        values = values.reshape(rows, count // rows)
+    else:
+        values = np.array(data.draw(float_parts(count)))
+    assert outcome(states._normalized, values, renormalize, "parts") == outcome(
+        numpy_normalized, values, renormalize, "parts"
+    )
+    if not is_complex:
+        assert outcome(lambda *args: from_schmidt(*args).amplitudes, values, renormalize) == outcome(
+            numpy_from_schmidt, values, renormalize
+        )
+        magnitudes = np.where(values < 0.0, -values, values)  # coefficients it accepts, -0.0 kept
+        assert outcome(lambda *args: from_schmidt(*args).amplitudes, magnitudes, renormalize) == outcome(
+            numpy_from_schmidt, magnitudes, renormalize
+        )
+
+
+def numpy_scalar_newton(power_sums, d):
+    """``hierarchy_via_invariants``' former recurrence, on numpy float64 scalars."""
+    e = np.zeros(d + 1)
+    e[0] = 1.0
+    for k in range(1, d + 1):
+        acc = 0.0
+        for m in range(1, k + 1):
+            acc += (-1.0) ** (m - 1) * e[k - m] * power_sums[m - 1]
+        e[k] = acc / k
+    e[e < 0.0] = 0.0
+    return e[1:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    dim_a=dims,
+    dim_b=dims,
+    seed=seeds,
+    rank=st.integers(min_value=1, max_value=NEWTON_DIM_LIMIT),
+    decades=st.integers(min_value=0, max_value=12),
+)
+def test_newton_recurrence_on_python_floats_matches_numpy_scalars_bit_for_bit(dim_a, dim_b, seed, rank, decades):
+    rng = seeded_rng(seed)
+    d, rank = min(dim_a, dim_b), min(rank, dim_a, dim_b)
+    if decades and rank > 1:  # a graded, possibly rank-deficient spectrum, whose top levels round below 0
+        state = from_schmidt(np.sqrt(np.concatenate([graded_spectrum(rank, decades, rng), np.zeros(d - rank)])))
+    else:
+        state = random_pure(dim_a, dim_b, rng)
+    power_sums = invariants(state)
+    assert bits(hierarchy_via_invariants(state, power_sums)) == bits(numpy_scalar_newton(power_sums, d))

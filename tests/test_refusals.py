@@ -197,6 +197,15 @@ CASES = [
         1,
         "norm 0.5 deviates from 1 beyond 1e-6; pass renormalize",
     ),
+    # the coefficient prints as a Python float on every numpy, never as np.float64(-0.6)
+    ("negative-schmidt", "schmidt", '{"dims": [2, 2], "schmidt": [0.8, -0.6]}', 1, "coefficient -0.6 is negative"),
+    (
+        "negative-schmidt-renormalize",
+        "measure --renormalize",
+        '{"dims": [3, 3], "schmidt": [1, -2.5e-300, -0.0]}',
+        1,
+        "coefficient -2.5e-300 is negative",
+    ),
     ("top-level-list", "measure", "[1e999]", 2, not_finite("1e999")),
     ("density-dims", "wootters", '{"dims": [2], "matrix": []}', 2, "{path}: density 'dims' must be [4]"),
 ]
