@@ -44,7 +44,7 @@ from .measures import (
 from .reference import build_report
 from .report import ReportDocument
 from .statefile import parse_density, parse_state, state_document, write_state
-from .states import random_pure, schmidt_rank, schmidt_spectra, schmidt_spectrum
+from .states import random_pure, schmidt_rank, schmidt_spectrum
 
 _HIERARCHY_PATHS = {
     "eig": hierarchy,
@@ -262,8 +262,7 @@ def _cmd_scan(args) -> tuple[ReportDocument, int]:
         streams = _scan_streams(args.seed, start, min(start + pairs_per_chunk, args.samples))
         pairs = [(random_pure(args.dims, args.dims, rng), random_pure(args.dims, args.dims, rng)) for rng in streams]
         chunk = [state for pair in pairs for state in pair]
-        schmidt_spectra(chunk)  # one SVD call and one e_k pass fill every state's caches
-        hierarchies(chunk)
+        hierarchies(chunk)  # one SVD call and one e_k pass fill every state's caches
         for first, second in pairs:
             counts[conversion_class(first, second)] += 1
     results = {

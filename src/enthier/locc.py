@@ -79,8 +79,12 @@ def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdi
     n = max(len(ps), len(pt))
     ps += ps[-1:] * (n - len(ps))
     pt += pt[-1:] * (n - len(pt))
-    forward = all(s <= t + PREFIX_TOL for s, t in zip(ps, pt))
-    backward = all(t <= s + PREFIX_TOL for s, t in zip(ps, pt))
+    forward = backward = True
+    for s, t in zip(ps, pt):  # both directions in one pass, which ends once both have failed
+        forward = forward and s <= t + PREFIX_TOL
+        backward = backward and t <= s + PREFIX_TOL
+        if not (forward or backward):
+            break
     return ConvertibilityVerdict(_VERDICTS[forward, backward], tuple(ps), tuple(pt))
 
 

@@ -5,9 +5,9 @@ the Schmidt spectrum) is computed along three routes that share no
 numerics, so each cross-checks the others:
 
 * ``hierarchy``: the squared singular values of the amplitude matrix
-  (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` runs that
-  recurrence once over a stack of states and caches each row on its
-  state;
+  (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` takes the
+  spectra a stack of states lacks from one stacked SVD call, runs that
+  recurrence once over the stack, and caches each row on its state;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
   (Cauchy-Binet), summed on a bidiagonal form from hand-written
   Householder steps (no LAPACK factorization, no Gram matrix);
@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveOrder,
 )
 from .linalg import elementary_symmetric, minor_sum, singular_values_squared
-from .states import PureState, schmidt_spectrum
+from .states import PureState, schmidt_spectra, schmidt_spectrum
 
 DENSITY_TRACE_TOL = 1e-9
 DENSITY_HERMITIAN_TOL = 1e-12
@@ -65,16 +65,20 @@ def hierarchies(states) -> np.ndarray:
     """Hierarchies of one or more same-shape states, as an (n, d) array
     with d = min(dim_a, dim_b): row i holds C_1..C_d of state i.
 
-    One e_k pass serves the whole batch, over the states' Schmidt spectra
-    (cached ones are not taken again), and each row is stored as that
-    state's cached hierarchy, so later ``hierarchy`` calls on these states
-    compute nothing. Rows have the bits of a batch of one.
+    The states that have no cached spectrum get theirs from one stacked
+    ``schmidt_spectra`` call over just those states. One e_k pass serves
+    the whole batch, and each row is stored as that state's cached
+    hierarchy, so later ``hierarchy`` calls on these states compute
+    nothing. Rows have the bits of a batch of one.
     """
     states = list(states)
     shapes = {state.amplitudes.shape for state in states}
     if len(shapes) != 1:
         raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
-    levels = elementary_symmetric(np.array([schmidt_spectrum(state) for state in states]))
+    uncached = [state for state in states if state._spectrum is None]
+    if uncached:
+        schmidt_spectra(uncached)
+    levels = elementary_symmetric(np.array([state._spectrum for state in states]))
     levels.setflags(write=False)  # rows are views, so the cached hierarchies are read-only too
     for state, row in zip(states, levels):
         object.__setattr__(state, "_levels", row)

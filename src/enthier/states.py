@@ -226,7 +226,7 @@ def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
     z.imag = draws[1]
     flat = z.reshape(-1)
     re, im = flat.real, flat.imag  # strided views, the operands norm's dot takes
-    z /= np.sqrt(re.dot(re) + im.dot(im))
+    z /= math.sqrt(re.dot(re) + im.dot(im))
     return PureState._owned(z)
 
 

@@ -7,7 +7,7 @@ from itertools import accumulate
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enthier import states
@@ -216,13 +216,13 @@ def solved(f, goal, guess):
     assume(False)
 
 
-unit_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
+unit_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=48)
 
 
 @st.composite
 def verdict_inputs(draw):
     """Spectra and levels of a source and a target: independent, of lengths
-    1-12, or equal, or equal but for one prefix sum or one slack placed
+    1-48, or equal, or equal but for one prefix sum or one slack placed
     exactly at the tolerance boundary of a comparison, or one ulp off it."""
     target_spectrum, target_levels = draw(unit_lists), draw(unit_lists)
     kind = draw(st.sampled_from(["independent", "equal", "prefix-gap", "slack-gap"]))
@@ -296,8 +296,23 @@ PREFIX_FLAGS = {
 }
 
 
+# Length-48 inputs on which the prefix comparisons end at different places:
+# both directions failed by the second of 48 sums, one fails only at the
+# last sum, both fail but the second only at the last sum, and 48 against 3.
+LONG_VERDICT_INPUTS = [
+    ([0.5, 0.0] + [0.5] * 46, [0.1] * 48, [0.4, 0.2] + [0.5] * 46, [0.1] * 47 + [0.2]),
+    ([0.02] * 48, [0.3] + [0.1] * 47, [0.02] * 47 + [0.03], [0.2] + [0.1] * 47),
+    ([0.03] + [0.02] * 46 + [0.0], [0.1] * 48, [0.02] * 47 + [0.04], [0.1] * 48),
+    ([1.0 / 48] * 48, [0.05] * 48, [0.5, 0.3, 0.2], [0.1, 0.2, 0.3]),
+]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(inputs=verdict_inputs())
+@example(inputs=LONG_VERDICT_INPUTS[0])
+@example(inputs=LONG_VERDICT_INPUTS[1])
+@example(inputs=LONG_VERDICT_INPUTS[2])
+@example(inputs=LONG_VERDICT_INPUTS[3])
 def test_verdicts_match_the_former_numpy_formulation_bit_for_bit(inputs):
     source_spectrum, source_levels, target_spectrum, target_levels = inputs
     source = cached_stand_in(source_spectrum, source_levels)

@@ -15,7 +15,7 @@ from enthier.errors import (
     NotNormalized,
     ZeroState,
 )
-from enthier import states
+from enthier import measures, states
 from enthier.linalg import random_unitary, seeded_rng
 from enthier.measures import hierarchies, hierarchy
 from enthier.states import (
@@ -226,15 +226,42 @@ def test_stacked_spectra_are_read_only_and_need_one_shape():
         schmidt_spectra([])
 
 
-def test_stacked_hierarchies_match_batches_of_one_bit_for_bit():
+def test_stacked_hierarchies_match_batches_of_one_bit_for_bit(monkeypatch):
+    # the stack sizes each kernel call takes, SVD and e_k pass
+    sizes = {"svd": [], "levels": []}
+
+    def recorded(key, kernel):
+        def call(values):
+            sizes[key].append(len(values))
+            return kernel(values)
+
+        return call
+
+    monkeypatch.setattr(states, "singular_values_squared", recorded("svd", states.singular_values_squared))
+    monkeypatch.setattr(measures, "elementary_symmetric", recorded("levels", measures.elementary_symmetric))
+
+    def stacked_hierarchies(batch):
+        sizes["svd"].clear()
+        sizes["levels"].clear()
+        levels = hierarchies(batch)
+        return levels, list(sizes["svd"]), list(sizes["levels"])
+
     rng = seeded_rng(213)
     for batch in stacking_cases(rng):
-        stacked = [PureState(a) for a in batch]
-        levels = hierarchies(stacked)
-        assert levels.shape == (len(batch), min(batch[0].shape))
-        for amplitudes, state, row in zip(batch, stacked, levels):
-            assert state._levels.tobytes() == row.tobytes()  # the batch filled the cache
-            assert row.tobytes() == hierarchy(PureState(amplitudes)).tobytes()
+        fresh = [PureState(a) for a in batch]
+        half = [PureState(a) for a in batch]
+        schmidt_spectra(half[::2])
+        levels, svds, passes = stacked_hierarchies(fresh)
+        assert (svds, passes) == ([len(batch)], [len(batch)])  # one SVD and one e_k pass
+        half_levels, svds, passes = stacked_hierarchies(half)
+        assert (svds, passes) == ([len(half[1::2])], [len(batch)])  # the SVD over the uncached states only
+        assert levels.shape == half_levels.shape == (len(batch), min(batch[0].shape))
+        for amplitudes, fresh_state, half_state, row, half_row in zip(batch, fresh, half, levels, half_levels):
+            alone = PureState(amplitudes)
+            for state in (fresh_state, half_state):  # both caches hold the bits of a batch of one
+                assert state._spectrum.tobytes() == schmidt_spectrum(alone).tobytes()
+                assert state._levels.tobytes() == hierarchy(alone).tobytes()
+            assert row.tobytes() == half_row.tobytes() == hierarchy(alone).tobytes()
 
 
 def test_hierarchy_returns_the_cached_read_only_row(monkeypatch):
