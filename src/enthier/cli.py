@@ -196,11 +196,11 @@ def _cmd_measure(args) -> tuple[ReportDocument, int]:
     renyi = {order: renyi_entropy(state, order) for order in args.renyi}
     results = {
         "dims": [state.dim_a, state.dim_b],
-        "schmidt_spectrum": [float(v) for v in spectrum],
+        "schmidt_spectrum": spectrum.tolist(),
         "schmidt_rank": schmidt_rank(spectrum),
         "hierarchy_path": args.path,
-        "hierarchy": [float(v) for v in route],
-        "invariants": [float(v) for v in power_sums],
+        "hierarchy": route.tolist(),
+        "invariants": power_sums.tolist(),
         "renyi": {str(order): value for order, value in renyi.items()},
         "eof": renyi[1.0] if 1.0 in renyi else eof_pure(state),
         "af_concurrence": af_concurrence(state, levels),
@@ -247,8 +247,8 @@ def _cmd_schmidt(args) -> tuple[ReportDocument, int]:
     spectrum = schmidt_spectrum(state)
     results = {
         "dims": [state.dim_a, state.dim_b],
-        "schmidt_coefficients": [float(v) for v in np.sqrt(spectrum)],
-        "schmidt_spectrum": [float(v) for v in spectrum],
+        "schmidt_coefficients": np.sqrt(spectrum).tolist(),
+        "schmidt_spectrum": spectrum.tolist(),
         "schmidt_rank": schmidt_rank(spectrum),
     }
     return _report(args, results, input_digest=digest), 0

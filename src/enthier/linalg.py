@@ -129,11 +129,14 @@ def minor_sum(matrix) -> np.ndarray:
     k sums the k-matchings of a path whose edge weights |alpha_1|^2,
     |beta_1|^2, ..., |alpha_d|^2 are the squared norms the 2d - 1
     reflectors fold: m_j(k) = m_{j-1}(k) + w_j m_{j-2}(k-1), all terms >= 0.
+    The recurrence runs on lists of Python floats, whose products and sums
+    round as numpy's float64 operations do, so the levels have the bits of
+    the same recurrence on arrays without a numpy call per step.
     """
     a = as_complex_matrix(matrix)
     t = a.copy() if a.shape[0] >= a.shape[1] else a.conj().T.copy()
     d = t.shape[1]
-    below = last = np.concatenate(([1.0], np.zeros(d)))  # m_{j-2}, m_{j-1}
+    below = last = [1.0] + [0.0] * d  # m_{j-2}, m_{j-1}
     for step in range(2 * d - 1):
         k = step // 2
         # Column k below the diagonal, then row k right of the superdiagonal as a
@@ -141,16 +144,14 @@ def minor_sum(matrix) -> np.ndarray:
         block = t[k:, k:] if step % 2 == 0 else t[k:, k + 1 :].T
         x, rest = block[:, 0], block[:, 1:]
         head, tail = abs(x[0]), np.vdot(x[1:], x[1:]).real
-        weight = head * head + tail
+        weight = float(head * head + tail)
         if tail > 0.0:  # else x is reduced already, the zero column included
             norm = math.sqrt(weight)
             v = x.copy()
             v[0] += norm * (_phase(x[0], head) if head else 1.0)
-            rest -= np.outer(v, (v.conj() @ rest) / (norm * (norm + head)))
-        level = last.copy()
-        level[1:] += weight * below[:-1]
-        below, last = last, level
-    return last[1:]
+            rest -= v[:, None] * ((v.conj() @ rest) / (norm * (norm + head)))
+        below, last = last, [1.0] + [m + weight * n for m, n in zip(last[1:], below)]
+    return np.array(last[1:])
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

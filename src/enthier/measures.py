@@ -113,17 +113,21 @@ def invariants(state: PureState) -> np.ndarray:
 
     G is the smaller Gram matrix of the amplitudes, so I_k equals the
     power sum sum_i lambda_i^(k+1) of the Schmidt spectrum. Computed from
-    repeated matrix products and traces, without an eigensolver.
+    repeated matrix products, without an eigensolver. Each power's diagonal
+    is copied into one row of a (d, d) array, and one sum over its rows
+    takes every trace, each row summed as ``np.trace`` sums that power's
+    diagonal, so I_k has the bits of ``np.trace(G^(k+1)).real``.
     """
     a = state.amplitudes
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
     gram = gram / np.trace(gram).real
+    diagonals = np.empty(gram.shape, dtype=complex)  # row k: the diagonal of G^(k+1)
     power = gram
-    values = [np.trace(power).real]
-    for _ in range(1, gram.shape[0]):
+    diagonals[0] = power.diagonal()
+    for k in range(1, gram.shape[0]):
         power = power @ gram
-        values.append(np.trace(power).real)
-    return np.array(values)
+        diagonals[k] = power.diagonal()
+    return diagonals.sum(axis=1).real.copy()
 
 
 def hierarchy_via_invariants(state: PureState, power_sums: np.ndarray | None = None) -> np.ndarray:

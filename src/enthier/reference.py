@@ -13,7 +13,7 @@ import math
 from .linalg import bisect_root
 from .locc import hierarchy_dominance, nielsen_verdict
 from .measures import af_concurrence, eof_pure, hierarchies, hierarchy, hierarchy_via_minors
-from .states import PureState, from_schmidt, schmidt_spectra
+from .states import PureState, from_schmidt
 
 #: The incomparable pair whose hierarchies disagree in opposite directions.
 SPECTRUM_MIXED_SOURCE = (0.5, 0.4, 0.1)
@@ -71,9 +71,10 @@ def build_report() -> tuple[dict, list[str]]:
     checked in the statement that computes it: ``near`` records a number
     against its golden value and tolerance, ``label`` a verdict or
     dominance label against the required one; both return the value.
-    The fixture states, all 3x3, are built first and take their spectra
-    from one stacked SVD and their levels from one e_k pass, as ``scan``'s
-    chunks do, so each later lookup is a cache hit with the same bits.
+    The fixture states, all 3x3, are built first, and one ``hierarchies``
+    call takes their spectra from one stacked SVD and their levels from one
+    e_k pass, as ``scan``'s chunks do, so each later lookup is a cache hit
+    with the same bits.
     """
     checks = []
 
@@ -93,9 +94,7 @@ def build_report() -> tuple[dict, list[str]]:
     x_star = solve_unit_eof_x()
     at_root = x_family(x_star)
     # each check below still takes its value from the function it checks
-    batch = [*state.values(), bell, third, at_root]
-    schmidt_spectra(batch)
-    hierarchies(batch)
+    hierarchies([*state.values(), bell, third, at_root])
 
     def pair(name, source, target, check, required) -> dict:
         verdict = nielsen_verdict(state[source], state[target]).verdict.value

@@ -29,9 +29,20 @@ _ENTRY_FIELDS = operator.itemgetter("i", "j", "re", "im")
 
 
 def _json_object(text: str, path, strict: bool = False) -> dict:
-    """The JSON object in ``text``. The C scanner converts numbers itself,
-    unless ``strict``, when every literal is checked as it is read and the
-    first one that is not finite in double precision is refused."""
+    """The JSON object in ``text``, refusing a field named twice. The C
+    scanner converts numbers itself, unless ``strict``, when every literal
+    is checked as it is read and the first one that is not finite in double
+    precision is refused.
+
+    Without ``strict`` the C scanner alone builds every object, with no
+    Python call per object, and so would keep the last value of a field
+    named twice. Every field name in the text is a string between two of
+    its quotes, so when the text holds exactly two quotes per field of the
+    objects ``_field_count`` counts, no object anywhere names a field twice:
+    a repeat, a field of any other object and any string value each add
+    quotes the count does not hold. Otherwise the text is parsed again with
+    a hook that refuses a repeated field, as ``strict`` parses always do.
+    """
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -51,22 +62,38 @@ def _json_object(text: str, path, strict: bool = False) -> dict:
             raise ParseError(f"{path}: duplicate field {next(k for k, n in counts.items() if n > 1)!r}")
         return fields
 
-    numbers = {"parse_float": finite, "parse_int": integer} if strict else {}
-    try:
-        document = json.loads(text, parse_constant=finite, object_pairs_hook=unique, **numbers)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path}: JSON nested too deeply") from exc
-    if not isinstance(document, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    return document
+    def load(**hooks) -> dict:
+        try:
+            document = json.loads(text, parse_constant=finite, **hooks)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{path}: JSON nested too deeply") from exc
+        if not isinstance(document, dict):
+            raise ParseError(f"{path}: top level must be an object")
+        return document
+
+    if strict:
+        return load(object_pairs_hook=unique, parse_float=finite, parse_int=integer)
+    document = load()
+    if text.count('"') == 2 * _field_count(document):
+        return document
+    return load(object_pairs_hook=unique)
+
+
+def _field_count(document: dict) -> int:
+    """Fields of the top-level object and of the objects in its
+    ``amplitudes`` list, the only objects a valid document holds."""
+    entries = document.get("amplitudes")
+    inner = sum(len(entry) for entry in entries if type(entry) is dict) if type(entries) is list else 0
+    return len(document) + inner
 
 
 def _read_document(path, build, *args):
     """``build(document, path, *args)`` on the JSON object in a file, and the
     SHA-256 of the file's bytes, which are read once: a pipe cannot be read
-    twice.
+    twice. ``_json_object`` refuses a field named twice before ``build``
+    sees the document.
 
     The fast parse lets through literals that the strict one refuses as not
     finite in double precision (``1e999``, an int that float() cannot

@@ -331,9 +331,9 @@ def test_paper_examples_fixture_states_hold_their_batch_of_one_values(monkeypatc
 
     def captured(batch):
         batches.append(list(batch))
-        return states.schmidt_spectra(batch)
+        return measures.hierarchies(batch)
 
-    monkeypatch.setattr(enthier.reference, "schmidt_spectra", captured)
+    monkeypatch.setattr(enthier.reference, "hierarchies", captured)
     enthier.reference.build_report()
     [batch] = batches
     # the three distinct pinned spectra, the two-term uniform state, x = 1/3 and the root member

@@ -52,6 +52,37 @@ def random_complex(rows, cols, rng):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def array_path_minor_sum(matrix):
+    """``minor_sum`` as it stood with its path recurrence on numpy arrays and
+    its rank-one update through ``np.outer``, kept frozen as the bit-for-bit
+    reference for the form on Python floats."""
+
+    def phase(z, size):
+        if size < 2.0**-600:
+            z, size = z * 2.0**600, size * 2.0**600
+        return z / size
+
+    a = np.asarray(matrix, dtype=complex)
+    t = a.copy() if a.shape[0] >= a.shape[1] else a.conj().T.copy()
+    d = t.shape[1]
+    below = last = np.concatenate(([1.0], np.zeros(d)))
+    for step in range(2 * d - 1):
+        k = step // 2
+        block = t[k:, k:] if step % 2 == 0 else t[k:, k + 1 :].T
+        x, rest = block[:, 0], block[:, 1:]
+        head, tail = abs(x[0]), np.vdot(x[1:], x[1:]).real
+        weight = head * head + tail
+        if tail > 0.0:
+            norm = math.sqrt(weight)
+            v = x.copy()
+            v[0] += norm * (phase(x[0], head) if head else 1.0)
+            rest -= np.outer(v, (v.conj() @ rest) / (norm * (norm + head)))
+        level = last.copy()
+        level[1:] += weight * below[:-1]
+        below, last = last, level
+    return last[1:]
+
+
 # -------------------------------------------------------- singular values
 
 
@@ -220,6 +251,37 @@ def test_minor_sum_reflects_a_column_with_a_subnormal_pivot(pivot):
     m = np.array([[pivot, 0.48j, 0.0], [-0.64, 0.0, 0.6]]).T
     levels = elementary_symmetric(singular_values_squared(m))
     assert np.allclose(minor_sum(m), levels, rtol=1e-14, atol=0.0)
+
+
+def bit_pin_matrices():
+    """Matrices up to 48 on a side, both orientations: dense, Schmidt-form,
+    rank-deficient, with a zero column, and with a subnormal pivot."""
+    rng = seeded_rng(113)
+    for rows, cols in [(1, 1), (1, 5), (2, 2), (3, 7), (5, 8), (7, 7), (8, 8), (12, 12), (13, 20), (30, 48), (48, 48)]:
+        dense = random_complex(rows, cols, rng) / math.sqrt(rows * cols)
+        yield f"dense-{rows}x{cols}", dense
+        yield f"dense-transposed-{cols}x{rows}", dense.T.copy()
+        d = min(rows, cols)
+        yield f"schmidt-{d}", np.diag(np.sqrt(rng.dirichlet(np.ones(d))))
+        rank = max(1, d // 2)
+        low = random_complex(rows, rank, rng) @ random_complex(rank, cols, rng)
+        yield f"rank-{rank}-{rows}x{cols}", low / np.linalg.norm(low)
+        zero = dense.copy()
+        zero[:, cols // 2] = 0.0
+        yield f"zero-column-{rows}x{cols}", zero
+        yield f"zero-row-{cols}x{rows}", zero.T.copy()
+    pivot = random_complex(6, 4, rng)
+    pivot[0, 0] = 5e-324j
+    yield "subnormal-pivot", pivot
+    yield "subnormal-pivot-transposed", pivot.T.copy()
+    yield "subnormal-column", np.array([[5e-324j, 0.48j, 0.0], [-0.64, 0.0, 0.6]]).T
+
+
+@pytest.mark.parametrize("name, m", list(bit_pin_matrices()), ids=[name for name, _ in bit_pin_matrices()])
+def test_minor_sum_has_the_bits_of_the_recurrence_on_arrays(name, m):
+    expected = array_path_minor_sum(m)
+    assert minor_sum(m).dtype == expected.dtype
+    assert minor_sum(m).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

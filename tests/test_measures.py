@@ -219,6 +219,21 @@ def test_invariants_normalization_head():
         assert np.all(inv >= -1e-15)
 
 
+def test_invariants_have_the_bits_of_one_trace_per_power():
+    rng = seeded_rng(310)
+    for d in range(1, 49):
+        for rows, cols in ((d, d), (d, d + int(rng.integers(1, 5)))):
+            for state in (random_pure(rows, cols, rng), random_pure(cols, rows, rng)):
+                a = state.amplitudes
+                gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+                gram = gram / np.trace(gram).real
+                power, traces = gram, [np.trace(gram).real]
+                for _ in range(1, d):
+                    power = power @ gram
+                    traces.append(np.trace(power).real)
+                assert invariants(state).tobytes() == np.array(traces).tobytes()
+
+
 def test_invariants_maximally_entangled():
     d = 4
     inv = invariants(from_schmidt(np.full(d, 1.0 / math.sqrt(d))))

@@ -22,8 +22,15 @@ HUGE = "1" + "0" * 4999  # beyond the 4300 digits an int literal may have
 ONE = '{"i": 0, "j": 0, "re": 1}'
 
 
+def density_matrix(first_pair):
+    return "[%s]" % ", ".join([first_pair] + ["[0, 0]"] * 15)
+
+
 def density_document(first_pair):
-    return '{"dims": [4], "matrix": [%s]}' % ", ".join([first_pair] + ["[0, 0]"] * 15)
+    return '{"dims": [4], "matrix": %s}' % density_matrix(first_pair)
+
+
+PRODUCT_MATRIX = density_matrix("[1, 0]")  # the density of |00>
 
 
 def not_finite(shown):
@@ -80,6 +87,63 @@ CASES = [
         '{"dims": [2, 2], "schmidt": [1e999, 0], "schmidt": [1, 0]}',
         2,
         not_finite("1e999"),
+    ),
+    (
+        "overflow-before-duplicate-entry-field",
+        "measure",
+        '{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1e999, "re": 1}]}',
+        2,
+        not_finite("1e999"),
+    ),
+    (
+        "overflow-kept-before-duplicate-field",
+        "schmidt",
+        '{"dims": [2, 2], "schmidt": [1, 0], "note": 1e999, "schmidt": [1, 0]}',
+        2,
+        not_finite("1e999"),
+    ),
+    # a field named twice is refused even where the last value alone would be a valid document
+    (
+        "duplicate-field",
+        "measure",
+        '{"dims": [2, 2], "schmidt": [1, 0], "schmidt": [1, 0]}',
+        2,
+        "{path}: duplicate field 'schmidt'",
+    ),
+    (
+        "duplicate-field-over-string",
+        "measure",
+        '{"dims": [2, 2], "schmidt": "x", "schmidt": [1, 0]}',
+        2,
+        "{path}: duplicate field 'schmidt'",
+    ),
+    (
+        "duplicate-entry-field",
+        "measure",
+        '{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1, "re": 1}]}',
+        2,
+        "{path}: duplicate field 're'",
+    ),
+    (
+        "duplicate-entry-field-escaped",
+        "schmidt",
+        '{"dims": [2, 2], "amplitudes": [{"i": 0, "\\u0069": 0, "j": 0, "re": 1}]}',
+        2,
+        "{path}: duplicate field 'i'",
+    ),
+    (
+        "duplicate-density-dims",
+        "wootters",
+        '{"dims": [4], "dims": [4], "matrix": %s}' % PRODUCT_MATRIX,
+        2,
+        "{path}: duplicate field 'dims'",
+    ),
+    (
+        "duplicate-density-matrix",
+        "wootters",
+        '{"dims": [4], "matrix": %s, "matrix": %s}' % (PRODUCT_MATRIX, PRODUCT_MATRIX),
+        2,
+        "{path}: duplicate field 'matrix'",
     ),
     ("overflow-before-syntax-error", "measure", '{"dims": [2, 2], "schmidt": [1e999, 0]', 2, not_finite("1e999")),
     ("overflow-nested-in-wrong-place", "measure", '{"dims": [2, 2], "amplitudes": [[1e999]]}', 2, not_finite("1e999")),

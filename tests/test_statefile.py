@@ -182,3 +182,42 @@ def test_parse_density_rejects_duplicate_fields(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_density(path)
     assert "duplicate field 'matrix'" in str(err.value)
+
+
+def fields_text(fields):
+    return "{" + ", ".join(f'"{name}": {value}' for name, value in fields) + "}"
+
+
+def test_every_field_named_twice_is_refused_where_the_last_value_alone_is_valid(tmp_path):
+    # the document the last values make is valid, so only the repeat can refuse it
+    entries = [[("i", i), ("j", j), ("re", 0.5), ("im", 0.0)] for i in range(2) for j in range(2)]
+    top = [("dims", "[2, 2]"), ("amplitudes", None)]
+    path = tmp_path / "twice.json"
+
+    def text(entries, top):
+        amplitudes = "[" + ", ".join(fields_text(entry) for entry in entries) + "]"
+        return fields_text([(name, amplitudes if value is None else value) for name, value in top])
+
+    def refused(document, name):
+        path.write_text(document)
+        with pytest.raises(ParseError) as err:
+            parse_state(path)
+        return str(err.value) == f"{path}: duplicate field {name!r}"
+
+    path.write_text(text(entries, top))
+    parse_state(path)
+    for spelled in (str, lambda name: "\\u%04x" % ord(name[0]) + name[1:]):
+        for position, (name, value) in enumerate(top):
+            repeated = top[: position + 1] + [(spelled(name), value)] + top[position + 1 :]
+            assert refused(text(entries, repeated), name)
+        for n, entry in enumerate(entries):
+            for position, (name, value) in enumerate(entry):
+                repeated = entry[: position + 1] + [(spelled(name), value)] + entry[position + 1 :]
+                assert refused(text(entries[:n] + [repeated] + entries[n + 1 :], top), name)
+
+
+def test_field_names_spelled_with_escapes_parse_as_themselves(tmp_path):
+    text = '{"d\\u0069ms": [2, 2], "amplitudes": [{"\\u0069": 1, "j": 1, "r\\u0065": 1}]}'
+    path = write_doc(tmp_path, "escaped.json", text)
+    state, _ = parse_state(path)
+    assert state.amplitudes[1, 1] == 1.0
