@@ -216,10 +216,10 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
     dominance = hierarchy_dominance(source, target)
     results = {
         "verdict": verdict.verdict.value,
-        "source_prefix_sums": [float(v) for v in verdict.source_prefix_sums],
-        "target_prefix_sums": [float(v) for v in verdict.target_prefix_sums],
+        "source_prefix_sums": list(verdict.source_prefix_sums),
+        "target_prefix_sums": list(verdict.target_prefix_sums),
         "dominance": {
-            "slacks": [float(v) for v in dominance.slacks],
+            "slacks": list(dominance.slacks),
             "source_dominates": dominance.source_dominates,
             "target_dominates": dominance.target_dominates,
             "mixed": dominance.mixed,
@@ -236,7 +236,7 @@ def _cmd_wootters(args) -> tuple[ReportDocument, int]:
     results = {
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
-        "lambdas": [float(v) for v in lambdas],
+        "lambdas": lambdas.tolist(),
         "ppt": ppt_check(rho).value,
     }
     return _report(args, results, input_digest=digest), 0
@@ -293,13 +293,17 @@ def _cmd_emit_state(args) -> tuple[str, int]:
 
 
 _PARSER: argparse.ArgumentParser | None = None
+# each subcommand's parser by name, filled when _PARSER is built
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
     Parsing never writes to the parser, and no handler writes to the parsed
-    defaults, so calls in one process stay independent.
+    defaults, so calls in one process stay independent. ``main`` gives a
+    call that names its subcommand first straight to that subcommand's
+    parser, and every other call to this one.
     """
     global _PARSER
     if _PARSER is None:
@@ -325,7 +329,11 @@ def _make_parser() -> argparse.ArgumentParser:
             help="accept states whose norm deviates from 1 beyond the default gate",
         )
 
-    measure = commands.add_parser("measure", help="all measures of one pure state")
+    def add_command(name, **kwargs):
+        sub = _COMMANDS[name] = commands.add_parser(name, **kwargs)
+        return sub
+
+    measure = add_command("measure", help="all measures of one pure state")
     measure.add_argument("state", help="state document (JSON)")
     measure.add_argument(
         "--path",
@@ -343,25 +351,25 @@ def _make_parser() -> argparse.ArgumentParser:
     add_json(measure)
     measure.set_defaults(handler=_cmd_measure)
 
-    locc = commands.add_parser("locc", help="convertibility verdict for a state pair")
+    locc = add_command("locc", help="convertibility verdict for a state pair")
     locc.add_argument("source")
     locc.add_argument("target")
     add_renormalize(locc)
     add_json(locc)
     locc.set_defaults(handler=_cmd_locc)
 
-    wootters = commands.add_parser("wootters", help="two-qubit mixed-state concurrence")
+    wootters = add_command("wootters", help="two-qubit mixed-state concurrence")
     wootters.add_argument("density", help="density document (JSON)")
     add_json(wootters)
     wootters.set_defaults(handler=_cmd_wootters)
 
-    schmidt = commands.add_parser("schmidt", help="Schmidt coefficients and rank")
+    schmidt = add_command("schmidt", help="Schmidt coefficients and rank")
     schmidt.add_argument("state")
     add_renormalize(schmidt)
     add_json(schmidt)
     schmidt.set_defaults(handler=_cmd_schmidt)
 
-    scan = commands.add_parser(
+    scan = add_command(
         "scan", help="frequencies of convertibility classes over random pairs"
     )
     scan.add_argument("--dims", type=_int_at_least(1), default=3, help="local dimension")
@@ -370,13 +378,13 @@ def _make_parser() -> argparse.ArgumentParser:
     add_json(scan)
     scan.set_defaults(handler=_cmd_scan)
 
-    examples = commands.add_parser(
+    examples = add_command(
         "paper-examples", help="recompute the pinned worked examples and self-check them"
     )
     add_json(examples)
     examples.set_defaults(handler=_cmd_paper_examples)
 
-    emit = commands.add_parser(
+    emit = add_command(
         "emit-state", help="canonicalize a state document at full precision"
     )
     emit.add_argument("state")
@@ -387,10 +395,28 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, in one argparse pass where it can be.
+
+    When argv names its subcommand first, the top-level pass only hands the
+    rest to that subcommand's ``parse_known_args`` and refuses what it leaves
+    over, so that call alone gives the same namespace or usage error. All
+    else takes the full parse and its messages: leftovers, any other first
+    word, and an argument starting ``--=``, which the top-level pass refuses
+    as ambiguous between ``--help`` and ``--version``.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else 2

@@ -976,11 +976,150 @@ def test_version_twice(capsys):
     assert enthier.__version__ == "0.1.0"
 
 
-def test_usage_error_leaves_the_next_scan_unchanged(capsys):
-    argv = ["scan", "--dims", "3", "--samples", "20", "--seed", "0", "--json"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(["scan", "--seed", "-1"]) == 2
+# ------------------------------------------------------------ dispatch
+
+SCAN_ARGV = ["scan", "--dims", "3", "--samples", "20", "--seed", "0", "--json"]
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """Argument lists that name their command first, and ones that do not."""
+    state = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    density = write_json(tmp_path, "rho.json", density_doc(bell_projector()))
+    commands = [
+        ["measure", state],
+        ["locc", state, state],
+        ["wootters", density],
+        ["schmidt", state],
+        ["scan", "--samples", "3"],
+        ["paper-examples"],
+        ["emit-state", state],  # takes no --json: unrecognized
+    ]
+    return [
+        *commands,
+        *[argv + ["--json"] for argv in commands],
+        ["-h"],
+        ["--help"],
+        *[[argv[0], flag] for argv in commands for flag in ("-h", "--help")],
+        ["measure", state, "--help"],
+        ["-h", "measure"],
+        ["--version"],
+        ["--vers"],
+        ["--version", "measure", state],
+        ["measure", state, "--version"],
+        ["measure", state, "--vers"],
+        [],
+        ["frobnicate"],
+        ["meas", state],
+        ["--json", "schmidt", state],
+        ["measure", state, "extra"],
+        ["locc", state, state, state],
+        ["measure", state, "--pa", "newton"],
+        ["measure", state, "--ren", "1,2"],
+        ["scan", "--d", "3", "--samples", "2"],
+        ["measure", state, "--path=minors"],
+        ["scan", "--seed=3", "--samples", "2"],
+        ["schmidt", state, "--json=1"],
+        ["measure", "--", state],
+        ["measure", state, "--"],
+        ["locc", state, "--", state],
+        ["--", "measure", state],
+        ["scan", "--seed", "-1"],
+        ["measure", state, "--path", "bad"],
+        ["measure", state, "--renyi", "0"],
+        ["measure", state, "--renyi", "nan"],
+        ["measure"],
+        ["locc", state],
+        ["schmidt", state, "--json", "--json"],
+        ["measure", state, "--=x"],  # ambiguous at the top level: --help or --version
+        ["scan", "--=1"],
+    ]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        outcome = ("namespace", vars(parse(list(argv))))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_dispatch_parses_as_the_full_parser(capsys, corpus):
+    parser = build_parser()
+    for argv in corpus:
+        full = parse_outcome(capsys, parser.parse_args, argv)
+        assert parse_outcome(capsys, lambda argv: cli._parse_args(parser, argv), argv) == full, argv
+
+
+def test_dispatch_skips_the_top_level_pass_for_a_named_command(capsys, monkeypatch, corpus):
+    parser = build_parser()
+    parsed = {}
+    for argv in corpus:
+        try:
+            parsed[tuple(argv)] = parser.parse_args(argv)
+        except SystemExit:
+            pass
     capsys.readouterr()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
+
+    def refused(*args, **kwargs):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(parser, "parse_args", refused)
+    monkeypatch.setattr(parser, "parse_known_args", refused)
+    assert len(parsed) > 15
+    for argv, args in parsed.items():
+        assert cli._parse_args(parser, list(argv)) == args
+
+
+def test_usage_error_leaves_the_next_scan_unchanged(capsys, corpus):
+    # every refused argument list of the corpus, each followed by one valid scan
+    assert main(SCAN_ARGV) == 0
+    first = capsys.readouterr()
+    refused = 0
+    for argv in corpus:
+        try:
+            build_parser().parse_args(argv)
+            continue
+        except SystemExit:
+            capsys.readouterr()
+        refused += 1
+        main(argv)
+        capsys.readouterr()
+        assert main(SCAN_ARGV) == 0
+        assert capsys.readouterr() == first, argv
+    assert refused > 30
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch, corpus):
+    # the installed script calls main() with no arguments
+    for argv in [SCAN_ARGV, ["paper-examples", "--json"], ["measure"], ["--version"], *corpus[:3]]:
+        code = main(argv)
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["enthier", *argv])
+        assert main() == code
+        assert capsys.readouterr() == expected
+
+
+def test_json_reports_never_take_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    import json.encoder
+
+    def refused(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    source = write_json(tmp_path, "source.json", MIXED_SOURCE_DOC)
+    target = write_json(tmp_path, "target.json", MIXED_TARGET_DOC)
+    density = write_json(tmp_path, "rho.json", density_doc(bell_projector()))
+    for argv in [
+        *[["measure", source, "--path", path] for path in ("eig", "minors", "newton")],
+        ["locc", source, target],
+        ["wootters", density],
+        ["schmidt", source],
+        ["scan", "--samples", "5"],
+        ["paper-examples"],
+    ]:
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    with pytest.raises(AssertionError):  # the guard bites where the encoder runs
+        json.dumps([1.0], indent=2)
