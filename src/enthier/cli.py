@@ -260,10 +260,9 @@ def _cmd_scan(args) -> tuple[ReportDocument, int]:
     for start in range(0, args.samples, pairs_per_chunk):
         # one stream per sample, so the pairs do not depend on the chunking
         streams = _scan_streams(args.seed, start, min(start + pairs_per_chunk, args.samples))
-        pairs = [(random_pure(args.dims, args.dims, rng), random_pure(args.dims, args.dims, rng)) for rng in streams]
-        chunk = [state for pair in pairs for state in pair]
+        chunk = [random_pure(args.dims, args.dims, rng) for rng in streams for _ in (0, 1)]  # pairs side by side
         hierarchies(chunk)  # one SVD call and one e_k pass fill every state's caches
-        for first, second in pairs:
+        for first, second in zip(chunk[::2], chunk[1::2]):
             counts[conversion_class(first, second)] += 1
     results = {
         "dims": args.dims,

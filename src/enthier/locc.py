@@ -76,9 +76,10 @@ def nielsen_verdict(source: PureState, target: PureState) -> ConvertibilityVerdi
     """
     ps = list(accumulate(schmidt_spectrum(source).tolist()))
     pt = list(accumulate(schmidt_spectrum(target).tolist()))
-    n = max(len(ps), len(pt))
-    ps += ps[-1:] * (n - len(ps))
-    pt += pt[-1:] * (n - len(pt))
+    if len(ps) != len(pt):
+        n = max(len(ps), len(pt))
+        ps += ps[-1:] * (n - len(ps))
+        pt += pt[-1:] * (n - len(pt))
     forward = backward = True
     for s, t in zip(ps, pt):  # both directions in one pass, which ends once both have failed
         forward = forward and s <= t + PREFIX_TOL
@@ -97,9 +98,10 @@ def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport
     """
     cs = hierarchy(source).tolist()
     ct = hierarchy(target).tolist()
-    n = max(len(cs), len(ct))
-    cs += [0.0] * (n - len(cs))
-    ct += [0.0] * (n - len(ct))
+    if len(cs) != len(ct):
+        n = max(len(cs), len(ct))
+        cs += [0.0] * (n - len(cs))
+        ct += [0.0] * (n - len(ct))
     slacks = tuple(map(sub, cs, ct))
     return DominanceReport(
         slacks=slacks,

@@ -5,9 +5,12 @@ the Schmidt spectrum) is computed along three routes that share no
 numerics, so each cross-checks the others:
 
 * ``hierarchy``: the squared singular values of the amplitude matrix
-  (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` takes the
-  spectra a stack of states lacks from one stacked SVD call, runs that
-  recurrence once over the stack, and caches each row on its state;
+  (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` runs that
+  recurrence once over a stack of states and caches each row on its
+  state. A stack with no cached spectrum takes the recurrence straight
+  on the spectra of its one stacked SVD call; any other stack takes the
+  spectra it lacks from one stacked SVD call over just those states and
+  runs the recurrence on a stack of every state's cached spectrum;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
   (Cauchy-Binet), summed on a bidiagonal form from hand-written
   Householder steps (no LAPACK factorization, no Gram matrix);
@@ -65,20 +68,28 @@ def hierarchies(states) -> np.ndarray:
     """Hierarchies of one or more same-shape states, as an (n, d) array
     with d = min(dim_a, dim_b): row i holds C_1..C_d of state i.
 
-    The states that have no cached spectrum get theirs from one stacked
-    ``schmidt_spectra`` call over just those states. One e_k pass serves
+    A batch with no cached spectrum, such as a ``scan`` chunk, goes whole
+    to one ``schmidt_spectra`` call, which checks the shapes, and the e_k
+    pass runs on the stack that call returns. In a batch with a cached
+    spectrum, the states without one get theirs from one stacked
+    ``schmidt_spectra`` call over just those states, and the pass runs on
+    a stack of every state's cached row. Either way one e_k pass serves
     the whole batch, and each row is stored as that state's cached
     hierarchy, so later ``hierarchy`` calls on these states compute
     nothing. Rows have the bits of a batch of one.
     """
     states = list(states)
-    shapes = {state.amplitudes.shape for state in states}
-    if len(shapes) != 1:
-        raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
     uncached = [state for state in states if state._spectrum is None]
-    if uncached:
-        schmidt_spectra(uncached)
-    levels = elementary_symmetric(np.array([state._spectrum for state in states]))
+    if len(uncached) == len(states):
+        spectra = schmidt_spectra(states)  # an empty batch is refused there
+    else:
+        shapes = {state.amplitudes.shape for state in states}
+        if len(shapes) != 1:
+            raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
+        if uncached:
+            schmidt_spectra(uncached)
+        spectra = np.array([state._spectrum for state in states])
+    levels = elementary_symmetric(spectra)
     levels.setflags(write=False)  # rows are views, so the cached hierarchies are read-only too
     for state, row in zip(states, levels):
         object.__setattr__(state, "_levels", row)

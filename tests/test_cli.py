@@ -114,8 +114,9 @@ def test_measure_newton_guard_is_domain_error(tmp_path, capsys):
     assert len(payload["results"]["hierarchy"]) == NEWTON_DIM_LIMIT
     above = write_json(tmp_path, "above.json", uniform_schmidt_doc(NEWTON_DIM_LIMIT + 1))
     assert main(["measure", above, "--path", "newton"]) == 1
-    err = capsys.readouterr().err
-    assert "newton" in err and str(NEWTON_DIM_LIMIT) in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: newton route: min dimension {NEWTON_DIM_LIMIT + 1} exceeds {NEWTON_DIM_LIMIT}\n"
     assert main(["measure", above, "--path", "eig"]) == 0
 
 
@@ -781,6 +782,7 @@ GOLDEN_TARGET = str(SNAPSHOTS / "state_060_020_020.json")
                 (["emit-state", str(SNAPSHOTS / f"state_{name}.json")], "emit_state.json"),
             ]
         ],
+        (["scan", "--dims", "3", "--samples", "300", "--seed", "0", "--json"], "scan_d3_seed0.json"),
     ],
 )
 def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):

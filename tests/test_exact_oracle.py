@@ -7,8 +7,9 @@ zero tolerance separates the rounding of the prefix sums and of the e_k
 recurrence from the SVD's own error. Only the standard library is used past
 the spectra.
 
-At d = 3 the exact classes equal today's on every pair checked. At d >= 8
-they do not: there a tolerance policy built on error bounds is still due.
+For d = 3 to 6 the exact classes equal today's on every pair checked. From
+d = 8 they do not: there a tolerance policy built on error bounds is still
+due.
 """
 
 import json
@@ -58,16 +59,29 @@ def scan_pairs(dims, samples, seed):
     return pairs
 
 
-@pytest.mark.parametrize(
-    "seed, expected",
-    [(0, (645, 238, 117)), (1, (648, 243, 109)), (2, (640, 230, 130))],
-)
-def test_scan_classes_at_d3_equal_the_exact_classes(capsys, seed, expected):
-    pairs = scan_pairs(3, 1000, seed)
+def check_scan_classes(capsys, dims, seed, expected):
+    pairs = scan_pairs(dims, 1000, seed)
     spectra = [exact_spectrum(row) for row in schmidt_spectra([state for pair in pairs for state in pair])]
     exact = [exact_class(source, target) for source, target in zip(spectra[::2], spectra[1::2])]
     assert [conversion_class(source, target) for source, target in pairs] == exact
     counts = {key: exact.count(key) for key in (COMPARABLE, INCOMPARABLE_MIXED, INCOMPARABLE_FULL)}
     assert tuple(counts.values()) == expected
-    assert main(["scan", "--dims", "3", "--samples", "1000", "--seed", str(seed), "--json"]) == 0
+    argv = ["scan", "--dims", str(dims), "--samples", "1000", "--seed", str(seed), "--json"]
+    assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["results"]["counts"] == counts
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [(0, (645, 238, 117)), (1, (648, 243, 109)), (2, (640, 230, 130))],
+)
+def test_scan_classes_at_d3_equal_the_exact_classes(capsys, seed, expected):
+    check_scan_classes(capsys, 3, seed, expected)
+
+
+@pytest.mark.parametrize(
+    "dims, expected",
+    [(4, (445, 350, 205)), (5, (422, 342, 236)), (6, (324, 376, 300))],
+)
+def test_scan_classes_at_d4_to_d6_equal_the_exact_classes(capsys, dims, expected):
+    check_scan_classes(capsys, dims, 0, expected)

@@ -10,11 +10,13 @@ from enthier import linalg, measures, states
 from enthier.errors import (
     ConcurrenceOutOfRange,
     DimensionMismatch,
+    DimensionTooLargeForNewton,
     InvalidDensity,
     NonPositiveOrder,
 )
 from enthier.linalg import random_unitary, seeded_rng
 from enthier.measures import (
+    NEWTON_DIM_LIMIT,
     SPIN_FLIP,
     Separability,
     af_concurrence,
@@ -138,6 +140,14 @@ def test_newton_route_golden_arithmetic():
 def test_newton_route_bell_second_level():
     state = bell_state()
     assert abs(hierarchy_via_invariants(state)[1] - 0.25) <= 1e-12
+
+
+def test_newton_route_refuses_min_dimensions_above_eight():
+    assert NEWTON_DIM_LIMIT == 8
+    at_limit = random_pure(8, 8, seeded_rng(311))
+    assert np.allclose(hierarchy_via_invariants(at_limit), hierarchy(at_limit), atol=1e-8)
+    with pytest.raises(DimensionTooLargeForNewton, match=r"^newton route: min dimension 9 exceeds 8$"):
+        hierarchy_via_invariants(random_pure(9, 9, seeded_rng(312)))
 
 
 def test_newton_route_matches_eigen_route():

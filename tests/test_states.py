@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,18 +251,25 @@ def test_stacked_hierarchies_match_batches_of_one_bit_for_bit(monkeypatch):
     for batch in stacking_cases(rng):
         fresh = [PureState(a) for a in batch]
         half = [PureState(a) for a in batch]
-        schmidt_spectra(half[::2])
-        levels, svds, passes = stacked_hierarchies(fresh)
-        assert (svds, passes) == ([len(batch)], [len(batch)])  # one SVD and one e_k pass
-        half_levels, svds, passes = stacked_hierarchies(half)
-        assert (svds, passes) == ([len(half[1::2])], [len(batch)])  # the SVD over the uncached states only
-        assert levels.shape == half_levels.shape == (len(batch), min(batch[0].shape))
-        for amplitudes, fresh_state, half_state, row, half_row in zip(batch, fresh, half, levels, half_levels):
-            alone = PureState(amplitudes)
-            for state in (fresh_state, half_state):  # both caches hold the bits of a batch of one
+        for state in half[::2]:
+            schmidt_spectrum(state)
+        twice = PureState(batch[0])
+        repeated = [twice, PureState(batch[1]), twice]
+        # all fresh: the whole batch in one SVD; partly cached: an SVD over the
+        # uncached states only; a repeated fresh state is taken once per place
+        for stack, svd_sizes in ((fresh, [len(batch)]), (half, [len(half[1::2])]), (repeated, [3])):
+            levels, svds, passes = stacked_hierarchies(stack)
+            assert (svds, passes) == (svd_sizes, [len(stack)])  # at most one SVD and one e_k pass
+            assert levels.shape == (len(stack), min(batch[0].shape))
+            with pytest.raises(ValueError):
+                levels[0, 0] = 0.0
+            for state, row in zip(stack, levels):
+                alone = PureState(state.amplitudes)
+                # the caches hold the bits of a batch of one, and are read-only
                 assert state._spectrum.tobytes() == schmidt_spectrum(alone).tobytes()
-                assert state._levels.tobytes() == hierarchy(alone).tobytes()
-            assert row.tobytes() == half_row.tobytes() == hierarchy(alone).tobytes()
+                assert row.tobytes() == state._levels.tobytes() == hierarchy(alone).tobytes()
+                with pytest.raises(ValueError):
+                    state._levels[0] = 0.0
 
 
 def test_hierarchy_returns_the_cached_read_only_row(monkeypatch):
@@ -290,11 +298,15 @@ def test_hierarchy_returns_the_cached_read_only_row(monkeypatch):
 
 def test_stacked_hierarchies_need_one_shape():
     rng = seeded_rng(215)
-    with pytest.raises(DimensionMismatch):
-        hierarchies([random_pure(2, 3, rng), random_pure(3, 2, rng)])
-    with pytest.raises(DimensionMismatch):
-        hierarchies([random_pure(2, 2, rng), random_pure(3, 3, rng)])
-    with pytest.raises(DimensionMismatch):
+    for cached in (False, True):  # a fresh batch, and one whose first state has its spectrum
+        for shapes in (((2, 3), (3, 2)), ((3, 3), (2, 2))):
+            batch = [random_pure(*shape, rng) for shape in shapes]
+            if cached:
+                schmidt_spectrum(batch[0])
+            message = f"need one or more states of one shape, got shapes {sorted(shapes)}"
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                hierarchies(batch)
+    with pytest.raises(DimensionMismatch, match=re.escape("need one or more states of one shape, got shapes []")):
         hierarchies([])
 
 
