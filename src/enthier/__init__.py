@@ -16,7 +16,6 @@ from .errors import (
     NonFiniteInput,
     NonPositiveOrder,
     NonSquareMatrix,
-    NonUnitaryInput,
     NoSignChange,
     NotNormalized,
     ParseError,
@@ -26,7 +25,6 @@ from .linalg import (
     bisect_root,
     elementary_symmetric,
     minor_sum,
-    random_unitary,
     seeded_rng,
     singular_values_squared,
 )
@@ -37,7 +35,6 @@ from .locc import (
     conversion_class,
     hierarchy_dominance,
     nielsen_verdict,
-    t_transform_source,
 )
 from .measures import (
     SPIN_FLIP,
@@ -56,13 +53,10 @@ from .measures import (
     rungta_concurrence,
     spin_flip_lambdas,
     wootters_concurrence,
-    wootters_pure,
 )
 from .statefile import parse_density, parse_state, state_document, write_state
 from .states import (
     PureState,
-    apply_local_unitary,
-    density_matrix,
     from_amplitudes,
     from_schmidt,
     random_pure,

@@ -10,11 +10,8 @@ class NonFiniteInput(EnthierError, ValueError):
 
 
 class NonSquareMatrix(EnthierError):
-    """A square matrix was required."""
-
-
-class NonUnitaryInput(EnthierError):
-    """Matrix fails the U U^dag = I check beyond tolerance."""
+    """An input has the wrong number of dimensions: a matrix, or a stack of
+    matrices, was required."""
 
 
 class DimensionTooLargeForNewton(EnthierError):

@@ -23,14 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NonFiniteInput,
-    NonSquareMatrix,
-    NonUnitaryInput,
-    NoSignChange,
-)
-
-UNITARY_TOL = 1e-10
+from .errors import NonFiniteInput, NonSquareMatrix, NoSignChange
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -50,16 +43,6 @@ def as_complex_matrix(matrix) -> np.ndarray:
         raise NonSquareMatrix(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput("matrix contains non-finite entries")
-    return a
-
-
-def require_unitary(matrix) -> np.ndarray:
-    a = as_complex_matrix(matrix)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareMatrix(f"unitary input must be square, got {a.shape}")
-    residual = np.linalg.norm(a @ a.conj().T - np.eye(a.shape[0]))
-    if residual > UNITARY_TOL:
-        raise NonUnitaryInput(f"unitarity residual {residual:.3e} exceeds {UNITARY_TOL:.0e}")
     return a
 
 
@@ -154,17 +137,6 @@ def minor_sum(matrix) -> np.ndarray:
     return np.array(last[1:])
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian matrix with the
-    R diagonal's phases folded back into Q."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
-
-
 def bisect_root(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
 ) -> float:
@@ -197,13 +169,10 @@ def bisect_root(
 
 
 __all__ = [
-    "UNITARY_TOL",
     "seeded_rng",
     "as_complex_matrix",
-    "require_unitary",
     "singular_values_squared",
     "elementary_symmetric",
     "minor_sum",
-    "random_unitary",
     "bisect_root",
 ]

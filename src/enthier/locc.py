@@ -13,8 +13,6 @@ from enum import Enum
 from itertools import accumulate
 from operator import sub
 
-import numpy as np
-
 from .measures import hierarchy
 from .states import PureState, schmidt_spectrum
 
@@ -110,24 +108,6 @@ def hierarchy_dominance(source: PureState, target: PureState) -> DominanceReport
     )
 
 
-def t_transform_source(target, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Generate a spectrum majorized by ``target`` via random Robin-Hood
-    transfers: each step moves mass from a larger entry toward a smaller
-    one without letting them cross. Result is sorted descending."""
-    if steps < 1:
-        raise ValueError("need at least one transfer step")
-    spectrum = np.sort(np.asarray(target, dtype=float))[::-1].copy()
-    d = spectrum.size
-    if d > 1:
-        for _ in range(steps):
-            i, j = rng.choice(d, size=2, replace=False)
-            hi, lo = (i, j) if spectrum[i] >= spectrum[j] else (j, i)
-            delta = 0.5 * (spectrum[hi] - spectrum[lo]) * rng.uniform()
-            spectrum[hi] -= delta
-            spectrum[lo] += delta
-    return np.sort(spectrum)[::-1]
-
-
 def conversion_class(
     source: PureState,
     target: PureState,
@@ -161,6 +141,5 @@ __all__ = [
     "DominanceReport",
     "nielsen_verdict",
     "hierarchy_dominance",
-    "t_transform_source",
     "conversion_class",
 ]

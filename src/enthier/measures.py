@@ -279,13 +279,6 @@ def wootters_concurrence(rho, lambdas: np.ndarray | None = None) -> float:
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
-def wootters_pure(state: PureState) -> float:
-    """Two-qubit pure-state concurrence 2 |det A|."""
-    if (state.dim_a, state.dim_b) != (2, 2):
-        raise DimensionMismatch(f"need a 2x2 state, got {state.dim_a}x{state.dim_b}")
-    return float(2.0 * abs(np.linalg.det(state.amplitudes)))
-
-
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     if x <= 0.0 or x >= 1.0:
@@ -330,7 +323,6 @@ __all__ = [
     "require_two_qubit_density",
     "spin_flip_lambdas",
     "wootters_concurrence",
-    "wootters_pure",
     "binary_entropy",
     "eof_from_concurrence",
     "partial_transpose_b",

@@ -16,7 +16,7 @@ from .errors import (
     NotNormalized,
     ZeroState,
 )
-from .linalg import require_unitary, singular_values_squared
+from .linalg import singular_values_squared
 
 NORM_INVARIANT_TOL = 1e-9
 NORM_GATE = 1e-6  # constructor acceptance without an explicit renormalize
@@ -197,17 +197,6 @@ def schmidt_rank(spectrum) -> int:
     return int(np.sum(np.asarray(spectrum, dtype=float) > RANK_TOL))
 
 
-def apply_local_unitary(state: PureState, u, v) -> PureState:
-    """Act with U (x) V: the amplitude matrix maps to U^T A V."""
-    uu = require_unitary(u)
-    vv = require_unitary(v)
-    if uu.shape[0] != state.dim_a or vv.shape[0] != state.dim_b:
-        raise DimensionMismatch(
-            f"unitaries {uu.shape[0]}/{vv.shape[0]} do not match state {state.dim_a}x{state.dim_b}"
-        )
-    return PureState(uu.T @ state.amplitudes @ vv)
-
-
 def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
     """Haar-induced random state: normalized complex Gaussian amplitudes.
 
@@ -230,12 +219,6 @@ def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
     return PureState._owned(z)
 
 
-def density_matrix(state: PureState) -> np.ndarray:
-    """Projector |state><state| in the product basis (row-major |ij>)."""
-    vec = state.amplitudes.reshape(-1)
-    return np.outer(vec, vec.conj())
-
-
 __all__ = [
     "NORM_INVARIANT_TOL",
     "NORM_GATE",
@@ -246,7 +229,5 @@ __all__ = [
     "schmidt_spectra",
     "schmidt_spectrum",
     "schmidt_rank",
-    "apply_local_unitary",
     "random_pure",
-    "density_matrix",
 ]

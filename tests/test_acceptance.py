@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from enthier.cli import main
-from enthier.linalg import seeded_rng, random_unitary
-from enthier.locc import Verdict, hierarchy_dominance, nielsen_verdict, t_transform_source
+from enthier.linalg import seeded_rng
+from enthier.locc import Verdict, hierarchy_dominance, nielsen_verdict
 from enthier.measures import (
     af_concurrence,
     eof_pure,
@@ -23,7 +23,6 @@ from enthier.measures import (
     renyi_entropy,
     Separability,
     wootters_concurrence,
-    wootters_pure,
 )
 from enthier.reference import (
     SPECTRUM_DOMINANT_SOURCE,
@@ -34,12 +33,8 @@ from enthier.reference import (
     solve_unit_eof_x,
     x_family,
 )
-from enthier.states import (
-    apply_local_unitary,
-    density_matrix,
-    from_schmidt,
-    random_pure,
-)
+from enthier.states import from_schmidt, random_pure
+from helpers import apply_local_unitary, density_matrix, random_unitary, t_transform_source, wootters_pure
 
 
 def record(number: int, name: str, passed: bool) -> None:

@@ -18,7 +18,8 @@ from enthier.linalg import seeded_rng
 from enthier.locc import conversion_class, hierarchy_dominance
 from enthier.measures import NEWTON_DIM_LIMIT
 from enthier.statefile import write_state
-from enthier.states import density_matrix, from_amplitudes, random_pure
+from enthier.states import from_amplitudes, random_pure
+from helpers import density_matrix
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -783,6 +784,8 @@ GOLDEN_TARGET = str(SNAPSHOTS / "state_060_020_020.json")
             ]
         ],
         (["scan", "--dims", "3", "--samples", "300", "--seed", "0", "--json"], "scan_d3_seed0.json"),
+        # The Werner state at p = 0.6, well away from the PPT boundary at p = 1/3.
+        (["wootters", str(SNAPSHOTS / "werner_060.json"), "--json"], "werner_060_wootters.json"),
     ],
 )
 def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):

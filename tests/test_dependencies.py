@@ -7,7 +7,9 @@ happen to be present and fail where the package is installed on its own.
 Between its own modules the package imports public names only: a name with
 one leading underscore belongs to the module that defines it. No module-level
 list or tuple holds a function, so a tracer that rebinds every reference to a
-function (benches/tracer.py) can reach them all.
+function (benches/tracer.py) can reach them all. Every function or class a
+module exports is used by the package itself, so no public name serves the
+tests alone.
 """
 
 import ast
@@ -70,3 +72,51 @@ def test_no_module_level_sequence_holds_a_function(source):
         if inspect.isfunction(inner)
     ]
     assert held == []
+
+
+def module_level_definitions(tree):
+    return {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {element.value for element in node.value.elts}
+    return set()
+
+
+def uses(tree):
+    """(name, owner) for each name a module reads, as a bare name or as an
+    attribute; owner is the module-level function or class the read sits in,
+    or None. Definitions, string entries of ``__all__`` and imports read no
+    name, so they are not uses."""
+    for statement in tree.body:
+        owner = statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_public_function_and_class_serves_the_package():
+    # A function or class a module lists in __all__ is read somewhere in the
+    # package other than in its own body, and not only from inside public
+    # definitions that fail this test themselves: it serves a command, or
+    # code a command runs. One only the tests call belongs with the tests
+    # (tests/helpers.py).
+    trees = {source.stem: ast.parse(source.read_text(), filename=str(source)) for source in SOURCES}
+    reads = [(module, owner, name) for module, tree in trees.items() for name, owner in uses(tree)]
+    public = {
+        (module, name)
+        for module, tree in trees.items()
+        for name in module_level_definitions(tree) & exported_names(tree)
+    }
+    unused = set()
+    while True:
+        live = {name for module, owner, name in reads if owner != name and (module, owner) not in unused}
+        found = {(module, name) for module, name in public if name not in live}
+        if found == unused:
+            break
+        unused = found
+    assert sorted(f"{module}.{name}" for module, name in unused) == []

@@ -13,10 +13,10 @@ from enthier.linalg import (
     bisect_root,
     elementary_symmetric,
     minor_sum,
-    random_unitary,
     seeded_rng,
     singular_values_squared,
 )
+from helpers import random_unitary
 
 
 # ---------------------------------------------------------------- oracles

@@ -12,11 +12,11 @@ from enthier.locc import (
     conversion_class,
     hierarchy_dominance,
     nielsen_verdict,
-    t_transform_source,
 )
 from enthier.measures import eof_pure, hierarchy
 from enthier.reference import diagonal_state
 from enthier.states import PureState, from_amplitudes, from_schmidt, random_pure
+from helpers import t_transform_source
 
 
 def random_spectrum(d, rng):

@@ -14,7 +14,7 @@ from enthier.errors import (
     InvalidDensity,
     NonPositiveOrder,
 )
-from enthier.linalg import random_unitary, seeded_rng
+from enthier.linalg import seeded_rng
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     SPIN_FLIP,
@@ -31,15 +31,9 @@ from enthier.measures import (
     renyi_entropy,
     rungta_concurrence,
     wootters_concurrence,
-    wootters_pure,
 )
-from enthier.states import (
-    apply_local_unitary,
-    density_matrix,
-    from_amplitudes,
-    from_schmidt,
-    random_pure,
-)
+from enthier.states import from_amplitudes, from_schmidt, random_pure
+from helpers import apply_local_unitary, density_matrix, random_unitary, wootters_pure
 
 # --------------------------------------------------------------- fixtures
 

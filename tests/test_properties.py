@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from enthier import states
 from enthier.errors import DimensionMismatch, EnthierError, NegativeCoefficient, NonFiniteInput, NotNormalized, ZeroState
-from enthier.linalg import elementary_symmetric, random_unitary, seeded_rng
+from enthier.linalg import elementary_symmetric, seeded_rng
 from enthier.locc import (
     PREFIX_TOL,
     SLACK_TOL,
@@ -20,7 +20,6 @@ from enthier.locc import (
     conversion_class,
     hierarchy_dominance,
     nielsen_verdict,
-    t_transform_source,
 )
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
@@ -34,20 +33,18 @@ from enthier.measures import (
     rungta_concurrence,
     spin_flip_lambdas,
     wootters_concurrence,
-    wootters_pure,
 )
 from enthier.reference import diagonal_state
 from enthier.statefile import parse_state, write_state
 from enthier.states import (
     PureState,
-    apply_local_unitary,
-    density_matrix,
     from_amplitudes,
     NORM_GATE,
     from_schmidt,
     random_pure,
     schmidt_spectrum,
 )
+from helpers import apply_local_unitary, density_matrix, random_unitary, t_transform_source, wootters_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
 HAAR_LEVEL_RTOL = 1e-10  # worst seen over 600 Haar draws with d <= 8: 2.3e-14

@@ -12,17 +12,14 @@ from enthier.errors import (
     IndexOutOfRange,
     NegativeCoefficient,
     NonFiniteInput,
-    NonUnitaryInput,
     NotNormalized,
     ZeroState,
 )
 from enthier import measures, states
-from enthier.linalg import random_unitary, seeded_rng
+from enthier.linalg import seeded_rng
 from enthier.measures import hierarchies, hierarchy
 from enthier.states import (
     PureState,
-    apply_local_unitary,
-    density_matrix,
     from_amplitudes,
     from_schmidt,
     random_pure,
@@ -30,6 +27,7 @@ from enthier.states import (
     schmidt_spectra,
     schmidt_spectrum,
 )
+from helpers import NonUnitaryInput, apply_local_unitary, density_matrix, random_unitary
 
 
 def test_product_state_from_single_amplitude():
