@@ -182,29 +182,20 @@ def _int_at_least(lowest: int):
 def _cmd_measure(args) -> tuple[ReportDocument, int]:
     state, digest = parse_state(args.state, renormalize=args.renormalize)
     spectrum = schmidt_spectrum(state)
-    # Each quantity once per call: the eig route is the spectral hierarchy, both
-    # two-level concurrences take C_2 from it, the newton route takes the power
-    # sums printed as invariants, and eof is the Renyi entropy of order 1.
-    levels = hierarchy(state)
-    power_sums = invariants(state)
-    if args.path == "eig":
-        route = levels
-    elif args.path == "newton":
-        route = hierarchy_via_invariants(state, power_sums)
-    else:
-        route = _HIERARCHY_PATHS[args.path](state)
+    # Each quantity once per call: the state memoizes its spectrum, hierarchy and
+    # power sums, so the routes and both two-level concurrences share them.
     renyi = {order: renyi_entropy(state, order) for order in args.renyi}
     results = {
         "dims": [state.dim_a, state.dim_b],
         "schmidt_spectrum": spectrum.tolist(),
         "schmidt_rank": schmidt_rank(spectrum),
         "hierarchy_path": args.path,
-        "hierarchy": route.tolist(),
-        "invariants": power_sums.tolist(),
+        "hierarchy": _HIERARCHY_PATHS[args.path](state).tolist(),
+        "invariants": invariants(state).tolist(),
         "renyi": {str(order): value for order, value in renyi.items()},
         "eof": renyi[1.0] if 1.0 in renyi else eof_pure(state),
-        "af_concurrence": af_concurrence(state, levels),
-        "rungta_concurrence": rungta_concurrence(state, levels),
+        "af_concurrence": af_concurrence(state),
+        "rungta_concurrence": rungta_concurrence(state),
     }
     return _report(args, results, input_digest=digest), 0
 

@@ -6,11 +6,7 @@ numerics, so each cross-checks the others:
 
 * ``hierarchy``: the squared singular values of the amplitude matrix
   (one LAPACK SVD), then the e_k recurrence; ``hierarchies`` runs that
-  recurrence once over a stack of states and caches each row on its
-  state. A stack with no cached spectrum takes the recurrence straight
-  on the spectra of its one stacked SVD call; any other stack takes the
-  spectra it lacks from one stacked SVD call over just those states and
-  runs the recurrence on a stack of every state's cached spectrum;
+  recurrence once over the stack ``schmidt_spectra`` returns;
 * ``hierarchy_via_minors``: squared k x k minors of the amplitude matrix
   (Cauchy-Binet), summed on a bidiagonal form from hand-written
   Householder steps (no LAPACK factorization, no Gram matrix);
@@ -18,6 +14,10 @@ numerics, so each cross-checks the others:
   products, no eigensolver), then Newton's identities. It loses relative
   accuracy on the top levels as d grows, so it refuses d above
   NEWTON_DIM_LIMIT.
+
+Every measure of a pure state takes the state alone: the spectrum, the
+levels and the power sums are memoized on it, read-only, so the routes
+and both two-level concurrences share them without being handed them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     ConcurrenceOutOfRange,
-    DimensionMismatch,
     DimensionTooLargeForNewton,
     InvalidDensity,
     NonPositiveOrder,
@@ -68,28 +67,14 @@ def hierarchies(states) -> np.ndarray:
     """Hierarchies of one or more same-shape states, as an (n, d) array
     with d = min(dim_a, dim_b): row i holds C_1..C_d of state i.
 
-    A batch with no cached spectrum, such as a ``scan`` chunk, goes whole
-    to one ``schmidt_spectra`` call, which checks the shapes, and the e_k
-    pass runs on the stack that call returns. In a batch with a cached
-    spectrum, the states without one get theirs from one stacked
-    ``schmidt_spectra`` call over just those states, and the pass runs on
-    a stack of every state's cached row. Either way one e_k pass serves
-    the whole batch, and each row is stored as that state's cached
-    hierarchy, so later ``hierarchy`` calls on these states compute
-    nothing. Rows have the bits of a batch of one.
+    One e_k pass runs on the stack ``schmidt_spectra`` returns, which
+    checks the shapes and takes one SVD over just the states that have no
+    cached spectrum. Each row is stored as that state's cached hierarchy,
+    so later ``hierarchy`` calls on these states compute nothing. Rows
+    have the bits of a batch of one.
     """
     states = list(states)
-    uncached = [state for state in states if state._spectrum is None]
-    if len(uncached) == len(states):
-        spectra = schmidt_spectra(states)  # an empty batch is refused there
-    else:
-        shapes = {state.amplitudes.shape for state in states}
-        if len(shapes) != 1:
-            raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
-        if uncached:
-            schmidt_spectra(uncached)
-        spectra = np.array([state._spectrum for state in states])
-    levels = elementary_symmetric(spectra)
+    levels = elementary_symmetric(schmidt_spectra(states))
     levels.setflags(write=False)  # rows are views, so the cached hierarchies are read-only too
     for state, row in zip(states, levels):
         object.__setattr__(state, "_levels", row)
@@ -127,8 +112,12 @@ def invariants(state: PureState) -> np.ndarray:
     repeated matrix products, without an eigensolver. Each power's diagonal
     is copied into one row of a (d, d) array, and one sum over its rows
     takes every trace, each row summed as ``np.trace`` sums that power's
-    diagonal, so I_k has the bits of ``np.trace(G^(k+1)).real``.
+    diagonal, so I_k has the bits of ``np.trace(G^(k+1)).real``. The power
+    sums are cached on the state, read-only, so the powers are formed once.
     """
+    cached = state._power_sums
+    if cached is not None:
+        return cached
     a = state.amplitudes
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
     gram = gram / np.trace(gram).real
@@ -138,10 +127,13 @@ def invariants(state: PureState) -> np.ndarray:
     for k in range(1, gram.shape[0]):
         power = power @ gram
         diagonals[k] = power.diagonal()
-    return diagonals.sum(axis=1).real.copy()
+    power_sums = diagonals.sum(axis=1).real.copy()
+    power_sums.setflags(write=False)
+    object.__setattr__(state, "_power_sums", power_sums)
+    return power_sums
 
 
-def hierarchy_via_invariants(state: PureState, power_sums: np.ndarray | None = None) -> np.ndarray:
+def hierarchy_via_invariants(state: PureState) -> np.ndarray:
     """The hierarchy reconstructed from power sums via Newton's identities.
 
     With p_m = sum_i lambda_i^m the recursion is
@@ -149,17 +141,14 @@ def hierarchy_via_invariants(state: PureState, power_sums: np.ndarray | None = N
     reduces to C_3 = (1 - 3 p_2 + 2 p_3) / 6. The alternating sum cancels
     badly on the small top levels, so min dimensions above
     NEWTON_DIM_LIMIT are refused. Levels that rounding leaves below 0 are
-    zeroed. ``power_sums``, the state's ``invariants`` if the caller has
-    them already, saves taking them again.
+    zeroed. The power sums are the state's ``invariants``.
     """
     d = min(state.dim_a, state.dim_b)
     if d > NEWTON_DIM_LIMIT:
         raise DimensionTooLargeForNewton(
             f"newton route: min dimension {d} exceeds {NEWTON_DIM_LIMIT}"
         )
-    if power_sums is None:
-        power_sums = invariants(state)
-    p = power_sums.tolist()  # p_m = p[m - 1]; Python floats round as numpy's float64 scalars do
+    p = invariants(state).tolist()  # p_m = p[m - 1]; Python floats round as numpy's float64 scalars do
     e = [1.0] + [0.0] * d
     for k in range(1, d + 1):
         acc = 0.0
@@ -204,32 +193,29 @@ def eof_pure(state: PureState) -> float:
     return renyi_entropy(state, 1)
 
 
-def _two_level(state: PureState, levels: np.ndarray | None) -> tuple[int, float]:
-    """d and C_2 = e_2(lambda), 0 at d = 1, from ``levels``, the state's
-    ``hierarchy``, which is taken here when the caller does not have it."""
-    levels = hierarchy(state) if levels is None else levels
+def _two_level(state: PureState) -> tuple[int, float]:
+    """d and C_2 = e_2(lambda), 0 at d = 1, from the state's ``hierarchy``."""
+    levels = hierarchy(state)
     return levels.size, (float(levels[1]) if levels.size > 1 else 0.0)
 
 
-def af_concurrence(state: PureState, levels: np.ndarray | None = None) -> float:
+def af_concurrence(state: PureState) -> float:
     """Generalized two-level concurrence sqrt(2d/(d-1) C_2) (Albeverio and
     Fei), normalized to hit 1 on maximally entangled states.
 
     C_2 = e_2(lambda) sums nonnegative products, so it keeps its relative
     accuracy near product states, where 1 - sum lambda^2 = 2 C_2 cancels.
-    ``levels`` is the state's ``hierarchy``, if the caller has it already.
     """
-    d, c2 = _two_level(state, levels)
+    d, c2 = _two_level(state)
     if d == 1:
         return 0.0
     return math.sqrt(d / (d - 1)) * math.sqrt(2.0 * c2)
 
 
-def rungta_concurrence(state: PureState, levels: np.ndarray | None = None) -> float:
+def rungta_concurrence(state: PureState) -> float:
     """Universal-inverter concurrence 2 sqrt(C_2) (Rungta et al.), which is
-    sqrt(2 (1 - sum lambda^2)) taken without its cancellation. ``levels``
-    is the state's ``hierarchy``, if the caller has it already."""
-    return 2.0 * math.sqrt(_two_level(state, levels)[1])
+    sqrt(2 (1 - sum lambda^2)) taken without its cancellation."""
+    return 2.0 * math.sqrt(_two_level(state)[1])
 
 
 def require_two_qubit_density(rho) -> np.ndarray:

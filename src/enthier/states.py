@@ -1,4 +1,11 @@
-"""Bipartite pure states as unit-norm complex amplitude matrices."""
+"""Bipartite pure states as unit-norm complex amplitude matrices.
+
+A ``PureState`` carries three read-only memos, each filled on first use:
+``_spectrum`` by ``schmidt_spectra``, and ``_levels`` and ``_power_sums``
+by ``measures.hierarchies`` and ``measures.invariants``. Every measure of a
+state is a function of the state alone, and the memos make a repeated
+call cost a lookup.
+"""
 
 from __future__ import annotations
 
@@ -75,6 +82,7 @@ class PureState:
     amplitudes: np.ndarray
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
     _levels: np.ndarray | None = field(default=None, init=False, repr=False)
+    _power_sums: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex)
@@ -95,7 +103,7 @@ class PureState:
         a.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "amplitudes", a)
-        return state  # its _spectrum and _levels are the class defaults, None
+        return state  # its _spectrum, _levels and _power_sums are the class defaults, None
 
     @property
     def dim_a(self) -> int:
@@ -161,21 +169,30 @@ def schmidt_spectra(states) -> np.ndarray:
     """Schmidt spectra of one or more same-shape states, as an (n, d) array
     with d = min(dim_a, dim_b): each row descending, renormalized to unit sum.
 
-    One stacked SVD serves the whole batch, and each row is stored as that
-    state's cached spectrum, so later ``schmidt_spectrum`` calls on these
-    states do no linear algebra. Rows have the bits of a batch of one.
+    One stacked SVD serves the states that have no cached spectrum, and
+    each of its rows is stored as that state's cached spectrum, so later
+    ``schmidt_spectrum`` calls on these states do no linear algebra. A
+    batch with no cached spectrum, such as a ``scan`` chunk, gets that
+    SVD's stack back as it is; any other batch gets a stack of every
+    state's cached row. Rows have the bits of a batch of one.
     """
     states = list(states)
     shapes = {state.amplitudes.shape for state in states}
     if len(shapes) != 1:
         raise DimensionMismatch(f"need one or more states of one shape, got shapes {sorted(shapes)}")
-    values = singular_values_squared(np.array([state.amplitudes for state in states]))
-    # Each sum is a squared norm, which PureState holds within ~2e-9 of 1.
-    values /= values.sum(axis=1, keepdims=True)
-    values.setflags(write=False)  # rows are views, so the cached spectra are read-only too
-    for state, row in zip(states, values):
-        object.__setattr__(state, "_spectrum", row)
-    return values
+    uncached = [state for state in states if state._spectrum is None]
+    if uncached:
+        values = singular_values_squared(np.array([state.amplitudes for state in uncached]))
+        # Each sum is a squared norm, which PureState holds within ~2e-9 of 1.
+        values /= values.sum(axis=1, keepdims=True)
+        values.setflags(write=False)  # rows are views, so the cached spectra are read-only too
+        for state, row in zip(uncached, values):
+            object.__setattr__(state, "_spectrum", row)
+        if len(uncached) == len(states):
+            return values
+    spectra = np.array([state._spectrum for state in states])
+    spectra.setflags(write=False)
+    return spectra
 
 
 def schmidt_spectrum(state: PureState) -> np.ndarray:

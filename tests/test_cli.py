@@ -285,17 +285,37 @@ def count_calls(monkeypatch, functions):
 def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, route_function):
     path = tmp_path / "psi.json"
     write_state(random_pure(5, 8, seeded_rng(11)), path)
+    # every measure takes the state alone and reads its memos, so a quantity is
+    # formed once however many measures look it up: one SVD, one e_k pass and
+    # one Gram power pass, the last counted as the calls that find no memo
+    gram_passes = []
+    original = measures.invariants
+
+    def invariants(state):
+        gram_passes.append(state._power_sums is None)
+        return original(state)
+
+    monkeypatch.setattr(measures, "invariants", invariants)
+    monkeypatch.setattr(cli, "invariants", invariants)
     names = {"hierarchy", "invariants", route_function}  # eig's route function is hierarchy itself
     counts = count_calls(
         monkeypatch,
-        [(linalg, "elementary_symmetric"), (statefile, "parse_state"), *[(measures, name) for name in names]],
+        [
+            (linalg, "singular_values_squared"),
+            (linalg, "elementary_symmetric"),
+            (statefile, "parse_state"),
+            *[(measures, name) for name in names],
+        ],
     )
     assert main(["measure", str(path), "--path", route, "--json"]) == 0
+    assert counts["linalg.singular_values_squared"] == 1
     assert counts["linalg.elementary_symmetric"] == 1
-    assert counts["measures.invariants"] == 1
-    # what the benchmark's coverage check needs this call to reach
-    assert counts["measures.hierarchy"] == 1
-    assert counts[f"measures.{route_function}"] == 1
+    assert sum(gram_passes) == 1
+    # lookups: the route, then both two-level concurrences on the levels, and
+    # the printed invariants; the benchmark's coverage check needs each reached
+    assert counts["measures.hierarchy"] == 2 + (route == "eig")
+    assert counts["measures.invariants"] == 1 + (route == "newton")
+    assert counts[f"measures.{route_function}"] == (3 if route == "eig" else 1)
     assert counts["statefile.parse_state"] == 1
 
 
@@ -528,13 +548,20 @@ def test_wootters_invalid_density_is_domain_error(tmp_path, capsys):
 # -------------------------------------------------------------------- scan
 
 
-def test_scan_two_level_never_fully_dominant(capsys):
-    code, payload = run_json(capsys, ["scan", "--dims", "2", "--samples", "150", "--seed", "3"])
+@pytest.mark.parametrize(
+    "seed, samples",
+    [(3, 150), (2**32 + 3, 150), (3, cli._HASHED_STREAMS_MIN - 1)],
+    ids=["hashed-streams", "wide-seed", "few-samples"],
+)
+def test_scan_two_level_never_fully_dominant(capsys, seed, samples):
+    # d = 2 gives only comparable pairs on every seed, on both stream paths:
+    # the hashed one, and seeded_rng for a wide seed or a short range
+    code, payload = run_json(capsys, ["scan", "--dims", "2", "--samples", str(samples), "--seed", str(seed)])
     assert code == 0
     counts = payload["results"]["counts"]
     assert counts["incomparable-full-dominance"] == 0
     assert counts["incomparable-mixed-dominance"] == 0
-    assert counts["comparable"] == 150
+    assert counts["comparable"] == samples
 
 
 def test_scan_seed_replay_identical(capsys):

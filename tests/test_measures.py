@@ -149,6 +149,46 @@ def test_newton_route_matches_eigen_route():
     assert np.allclose(hierarchy_via_invariants(state), hierarchy(state), atol=1e-8)
 
 
+def test_invariants_are_memoized_read_only_and_formed_once(monkeypatch):
+    state = random_pure(4, 6, seeded_rng(313))
+    traces = []
+    original_trace = np.trace
+
+    def counted_trace(*args, **kwargs):
+        traces.append(1)
+        return original_trace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "trace", counted_trace)  # one trace normalizes each Gram matrix formed
+    first = invariants(state)
+    assert invariants(state) is first is state._power_sums
+    hierarchy_via_invariants(state)
+    assert len(traces) == 1
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
+def test_newton_route_reads_the_power_sum_memo():
+    # a memo holding another state's power sums gives that state's levels
+    state, other = random_pure(3, 3, seeded_rng(314)), random_pure(3, 3, seeded_rng(315))
+    object.__setattr__(state, "_power_sums", invariants(other))
+    assert hierarchy_via_invariants(state).tobytes() == hierarchy_via_invariants(other).tobytes()
+
+
+def test_two_level_concurrences_share_one_level_pass(monkeypatch):
+    passes = []
+
+    def counted(values):
+        passes.append(1)
+        return linalg.elementary_symmetric(values)
+
+    monkeypatch.setattr(measures, "elementary_symmetric", counted)
+    state = random_pure(3, 5, seeded_rng(316))
+    af, rungta = af_concurrence(state), rungta_concurrence(state)
+    assert len(passes) == 1
+    assert (af, rungta) == (af_concurrence(state), rungta_concurrence(state))
+    assert len(passes) == 1
+
+
 def test_triple_path_agreement():
     rng = seeded_rng(306)
     for _ in range(60):
