@@ -39,6 +39,7 @@ from .locc import (
 from .measures import (
     SPIN_FLIP,
     Separability,
+    TwoQubitDensity,
     af_concurrence,
     binary_entropy,
     eof_from_concurrence,

@@ -221,14 +221,13 @@ def _cmd_locc(args) -> tuple[ReportDocument, int]:
 
 
 def _cmd_wootters(args) -> tuple[ReportDocument, int]:
-    rho, digest = parse_density(args.density)
-    lambdas = spin_flip_lambdas(rho)
-    concurrence = wootters_concurrence(rho, lambdas)
+    density, digest = parse_density(args.density)
+    concurrence = wootters_concurrence(density)
     results = {
         "concurrence": concurrence,
         "eof": eof_from_concurrence(concurrence),
-        "lambdas": lambdas.tolist(),
-        "ppt": ppt_check(rho).value,
+        "lambdas": spin_flip_lambdas(density).tolist(),
+        "ppt": ppt_check(density).value,
     }
     return _report(args, results, input_digest=digest), 0
 

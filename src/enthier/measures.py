@@ -23,6 +23,7 @@ and both two-level concurrences share them without being handed them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -218,50 +219,63 @@ def rungta_concurrence(state: PureState) -> float:
     return 2.0 * math.sqrt(_two_level(state)[1])
 
 
-def require_two_qubit_density(rho) -> np.ndarray:
-    """Validate a 4x4 density matrix: Hermitian, unit trace, positive."""
-    a = np.asarray(rho, dtype=complex)
-    if a.shape != (4, 4):
-        raise InvalidDensity(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidDensity("density contains non-finite entries")
-    if np.max(np.abs(a - a.conj().T)) > DENSITY_HERMITIAN_TOL:
-        raise InvalidDensity("density is not Hermitian within 1e-12")
-    trace = complex(np.trace(a)).real
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-        raise InvalidDensity(f"trace {trace!r} deviates from 1 beyond 1e-9")
-    smallest = np.linalg.eigvalsh(a)[0]
-    if smallest < -DENSITY_POSITIVITY_TOL:
-        raise InvalidDensity(f"negative eigenvalue {smallest:.3e}")
-    return a
+@dataclass(frozen=True, eq=False)
+class TwoQubitDensity:
+    """A checked two-qubit density: ``TwoQubitDensity(rho)`` copies ``rho``
+    and refuses it unless it is a finite, Hermitian, unit-trace, positive
+    4x4 matrix. Its spin-flip lambdas are memoized on it, read-only."""
+
+    matrix: np.ndarray
+    _lambdas: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        a = np.array(self.matrix, dtype=complex)
+        if a.shape != (4, 4):
+            raise InvalidDensity(f"expected a 4x4 matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidDensity("density contains non-finite entries")
+        with np.errstate(over="ignore"):  # sums near 1e308 may overflow to inf, refused without a warning
+            if np.max(np.abs(a - a.conj().T)) > DENSITY_HERMITIAN_TOL:
+                raise InvalidDensity("density is not Hermitian within 1e-12")
+            trace = complex(np.trace(a)).real
+        if abs(trace - 1.0) > DENSITY_TRACE_TOL:
+            raise InvalidDensity(f"trace {trace!r} deviates from 1 beyond 1e-9")
+        smallest = np.linalg.eigvalsh(a)[0]
+        if smallest < -DENSITY_POSITIVITY_TOL:
+            raise InvalidDensity(f"negative eigenvalue {smallest:.3e}")
+        a.setflags(write=False)
+        object.__setattr__(self, "matrix", a)
 
 
 def _psd_sqrt(matrix) -> np.ndarray:
-    """Square root of a density that ``require_two_qubit_density`` has
-    accepted, so negative eigenvalues are rounding dust and are zeroed."""
+    """Square root of a ``TwoQubitDensity`` matrix, positive within its
+    tolerance, so negative eigenvalues are rounding dust and are zeroed."""
     values, vectors = np.linalg.eigh(matrix)
     values[values < 0.0] = 0.0
     roots = np.sqrt(values)
     return (vectors * roots) @ vectors.conj().T
 
 
-def spin_flip_lambdas(rho) -> np.ndarray:
+def spin_flip_lambdas(density: TwoQubitDensity) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho rho~, where rho~
     = S rho* S is the spin-flipped conjugate of rho and S = SPIN_FLIP.
 
     These are the singular values of M = sqrt(rho) S sqrt(rho)*: M M^dagger
     is sqrt(rho) rho~ sqrt(rho), which shares the spectrum of rho rho~.
-    """
-    root = _psd_sqrt(require_two_qubit_density(rho))
-    squares = singular_values_squared(root @ SPIN_FLIP @ root.conj())
-    squares[squares < _LAMBDA_SQ_FLOOR] = 0.0
-    return np.sqrt(squares)
+    They are cached on the density, read-only, so the SVD runs once."""
+    if density._lambdas is None:
+        root = _psd_sqrt(density.matrix)
+        squares = singular_values_squared(root @ SPIN_FLIP @ root.conj())
+        squares[squares < _LAMBDA_SQ_FLOOR] = 0.0
+        lambdas = np.sqrt(squares)
+        lambdas.setflags(write=False)
+        object.__setattr__(density, "_lambdas", lambdas)
+    return density._lambdas
 
 
-def wootters_concurrence(rho, lambdas: np.ndarray | None = None) -> float:
-    """Two-qubit mixed-state concurrence max{0, l1 - l2 - l3 - l4}.
-    ``lambdas`` is rho's ``spin_flip_lambdas``, if the caller has it already."""
-    lam = spin_flip_lambdas(rho) if lambdas is None else lambdas
+def wootters_concurrence(density: TwoQubitDensity) -> float:
+    """Two-qubit mixed-state concurrence max{0, l1 - l2 - l3 - l4}."""
+    lam = spin_flip_lambdas(density)
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
@@ -286,10 +300,9 @@ def partial_transpose_b(rho) -> np.ndarray:
     return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def ppt_check(rho) -> Separability:
+def ppt_check(density: TwoQubitDensity) -> Separability:
     """Peres-Horodecki test; necessary and sufficient for two qubits."""
-    a = require_two_qubit_density(rho)
-    smallest = np.linalg.eigvalsh(partial_transpose_b(a))[0]
+    smallest = np.linalg.eigvalsh(partial_transpose_b(density.matrix))[0]
     return Separability.ENTANGLED if smallest < -PPT_TOL else Separability.SEPARABLE
 
 
@@ -297,6 +310,7 @@ __all__ = [
     "NEWTON_DIM_LIMIT",
     "SPIN_FLIP",
     "Separability",
+    "TwoQubitDensity",
     "hierarchies",
     "hierarchy",
     "hierarchy_via_minors",
@@ -306,7 +320,6 @@ __all__ = [
     "eof_pure",
     "af_concurrence",
     "rungta_concurrence",
-    "require_two_qubit_density",
     "spin_flip_lambdas",
     "wootters_concurrence",
     "binary_entropy",

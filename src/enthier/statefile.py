@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnthierError, InvalidDensity, ParseError
+from .errors import EnthierError, ParseError
+from .measures import TwoQubitDensity
 from .states import PureState, from_amplitudes, from_schmidt
 
 _STATE_KEYS = {"dims", "amplitudes", "schmidt"}
@@ -204,7 +205,7 @@ def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
     return _read_document(path, _state, renormalize)
 
 
-def _density(document: dict, path) -> np.ndarray:
+def _density(document: dict, path) -> TwoQubitDensity:
     unknown = set(document) - _DENSITY_KEYS
     if unknown:
         raise ParseError(f"{path}: unexpected field {sorted(unknown)[0]!r}")
@@ -221,15 +222,13 @@ def _density(document: dict, path) -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2 or not all(type(part) in _NUMBER_TYPES for part in pair):
             raise ParseError(f"{path}: matrix[{position}] must be a [re, im] pair")
         values.append(complex(pair[0], pair[1]))
-    rho = np.array(values, dtype=complex).reshape(4, 4)
-    if not np.isfinite(rho).all():  # an overflowing literal, refused here so the strict parse names it
-        raise InvalidDensity("density contains non-finite entries")
-    return rho
+    return TwoQubitDensity(np.array(values, dtype=complex).reshape(4, 4))
 
 
-def parse_density(path) -> tuple[np.ndarray, str]:
-    """Read a two-qubit density document into a 4x4 complex array, with
-    the SHA-256 hex digest of the file's bytes."""
+def parse_density(path) -> tuple[TwoQubitDensity, str]:
+    """Read a two-qubit density document into a ``TwoQubitDensity``, with the
+    SHA-256 hex digest of the file's bytes. The density is checked as the
+    document is read, so an overflowing literal is named, not its inf."""
     return _read_document(path, _density)
 
 

@@ -22,6 +22,7 @@ from enthier.measures import (
     ppt_check,
     renyi_entropy,
     Separability,
+    TwoQubitDensity,
     wootters_concurrence,
 )
 from enthier.reference import (
@@ -149,16 +150,16 @@ def test_criterion_08_wootters_oracle():
     for p in (0.2, 1.0 / 3.0, 0.5, 0.9):
         rho = p * projector + (1.0 - p) * identity
         expected = max(0.0, (3.0 * p - 1.0) / 2.0)
-        ok = ok and abs(wootters_concurrence(rho) - expected) <= 1e-9
+        ok = ok and abs(wootters_concurrence(TwoQubitDensity(rho)) - expected) <= 1e-9
     below = 0.2 * projector + 0.8 * identity
     above = 0.5 * projector + 0.5 * identity
-    ok = ok and ppt_check(below) is Separability.SEPARABLE
-    ok = ok and ppt_check(above) is Separability.ENTANGLED
+    ok = ok and ppt_check(TwoQubitDensity(below)) is Separability.SEPARABLE
+    ok = ok and ppt_check(TwoQubitDensity(above)) is Separability.ENTANGLED
     rng = seeded_rng(20_800)
     for _ in range(100):
         state = random_pure(2, 2, rng)
         pure = wootters_pure(state)
-        mixed = wootters_concurrence(density_matrix(state))
+        mixed = wootters_concurrence(TwoQubitDensity(density_matrix(state)))
         ok = ok and abs(pure - mixed) <= 1e-9
     record(8, "Werner oracle, PPT flip, pure/mixed consistency", ok)
 

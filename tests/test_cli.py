@@ -527,16 +527,18 @@ def test_wootters_werner_golden(tmp_path, capsys):
 def test_wootters_validates_and_takes_the_lambdas_once_per_route(tmp_path, capsys, monkeypatch):
     rho = 0.9 * bell_projector() + 0.1 * np.eye(4) / 4.0
     path = write_json(tmp_path, "werner.json", density_doc(rho))
-    counts = count_calls(
-        monkeypatch,
-        [(measures, "require_two_qubit_density"), (measures, "spin_flip_lambdas"), (linalg, "singular_values_squared")],
-    )
+    counts = count_calls(monkeypatch, [(measures, "spin_flip_lambdas"), (linalg, "singular_values_squared")])
+    check, eigvalsh = measures.TwoQubitDensity.__post_init__, np.linalg.eigvalsh
+    monkeypatch.setattr(measures.TwoQubitDensity, "__post_init__", lambda self: counts.update(["check"]) or check(self))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counts.update(["eigvalsh"]) or eigvalsh(a))
     code, payload = run_json(capsys, ["wootters", path])
     assert code == 0
     assert abs(payload["results"]["concurrence"] - 0.85) <= 1e-9
-    # once for the lambdas and once in ppt_check, which keeps its own validation
-    assert counts["measures.require_two_qubit_density"] == 2
-    assert counts["measures.spin_flip_lambdas"] == 1
+    # one check as the document is read: its eigvalsh is the positivity test, the other the partial transpose's
+    assert counts["check"] == 1
+    assert counts["eigvalsh"] == 2
+    # the concurrence fills the memo, the printed lambdas read it: one SVD
+    assert counts["measures.spin_flip_lambdas"] == 2
     assert counts["linalg.singular_values_squared"] == 1
 
 

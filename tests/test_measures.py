@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from enthier.measures import (
     NEWTON_DIM_LIMIT,
     SPIN_FLIP,
     Separability,
+    TwoQubitDensity,
     af_concurrence,
     binary_entropy,
     eof_from_concurrence,
@@ -30,6 +32,7 @@ from enthier.measures import (
     ppt_check,
     renyi_entropy,
     rungta_concurrence,
+    spin_flip_lambdas,
     wootters_concurrence,
 )
 from enthier.states import from_amplitudes, from_schmidt, random_pure
@@ -397,29 +400,58 @@ def test_spin_flip_operator_shape():
 
 
 def test_wootters_bell_projector():
-    assert abs(wootters_concurrence(bell_projector()) - 1.0) <= 1e-9
+    assert abs(wootters_concurrence(TwoQubitDensity(bell_projector())) - 1.0) <= 1e-9
 
 
 def test_wootters_maximally_mixed():
-    assert wootters_concurrence(np.eye(4) / 4.0) == 0.0
+    assert wootters_concurrence(TwoQubitDensity(np.eye(4) / 4.0)) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.2, 1.0 / 3.0, 0.5, 0.9])
 def test_wootters_werner_analytic(p):
-    assert abs(wootters_concurrence(werner(p)) - expected_werner_concurrence(p)) <= 1e-9
+    assert abs(wootters_concurrence(TwoQubitDensity(werner(p))) - expected_werner_concurrence(p)) <= 1e-9
 
 
 def test_wootters_invalid_densities():
     with pytest.raises(InvalidDensity):
-        wootters_concurrence(np.eye(4))  # trace 4
+        wootters_concurrence(TwoQubitDensity(np.eye(4)))  # trace 4
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.2
     with pytest.raises(InvalidDensity):
-        wootters_concurrence(bad)  # not Hermitian
+        wootters_concurrence(TwoQubitDensity(bad))  # not Hermitian
     with pytest.raises(InvalidDensity):
-        wootters_concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+        wootters_concurrence(TwoQubitDensity(np.diag([1.5, -0.5, 0.0, 0.0])))  # negative eigenvalue
     with pytest.raises(InvalidDensity):
-        wootters_concurrence(np.eye(3) / 3.0)  # wrong shape
+        wootters_concurrence(TwoQubitDensity(np.eye(3) / 3.0))  # wrong shape
+
+
+def test_two_qubit_density_copies_its_input_and_is_read_only():
+    rho = werner(0.6)
+    density = TwoQubitDensity(rho)
+    rho[0, 0] = 5.0
+    assert np.array_equal(density.matrix, werner(0.6))
+    with pytest.raises(ValueError):
+        density.matrix[0, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        density.matrix = rho
+
+
+def test_spin_flip_lambdas_are_memoized_read_only_from_one_svd(monkeypatch):
+    density = TwoQubitDensity(werner(0.6))
+    svds = []
+    original_svd = measures.singular_values_squared
+
+    def counted_svd(matrix):
+        svds.append(1)
+        return original_svd(matrix)
+
+    monkeypatch.setattr(measures, "singular_values_squared", counted_svd)
+    first = spin_flip_lambdas(density)
+    assert spin_flip_lambdas(density) is first
+    assert abs(wootters_concurrence(density) - expected_werner_concurrence(0.6)) <= 1e-9
+    assert len(svds) == 1
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 def test_wootters_pure_golden_values():
@@ -439,7 +471,7 @@ def test_wootters_pure_matches_mixed_on_projectors():
     for _ in range(100):
         state = random_pure(2, 2, rng)
         pure = wootters_pure(state)
-        mixed = wootters_concurrence(density_matrix(state))
+        mixed = wootters_concurrence(TwoQubitDensity(density_matrix(state)))
         assert abs(pure - mixed) <= 1e-9
 
 
@@ -469,10 +501,10 @@ def test_eof_consistency_on_pure_states():
 
 
 def test_ppt_verdicts():
-    assert ppt_check(np.eye(4) / 4.0) is Separability.SEPARABLE
-    assert ppt_check(bell_projector()) is Separability.ENTANGLED
-    assert ppt_check(werner(0.5)) is Separability.ENTANGLED
-    assert ppt_check(werner(0.2)) is Separability.SEPARABLE
+    assert ppt_check(TwoQubitDensity(np.eye(4) / 4.0)) is Separability.SEPARABLE
+    assert ppt_check(TwoQubitDensity(bell_projector())) is Separability.ENTANGLED
+    assert ppt_check(TwoQubitDensity(werner(0.5))) is Separability.ENTANGLED
+    assert ppt_check(TwoQubitDensity(werner(0.2))) is Separability.SEPARABLE
 
 
 # ------------------------------------------------- local-unitary invariance

@@ -24,6 +24,7 @@ from enthier.locc import (
 from enthier.measures import (
     NEWTON_DIM_LIMIT,
     SPIN_FLIP,
+    TwoQubitDensity,
     af_concurrence,
     hierarchy,
     hierarchy_via_invariants,
@@ -508,7 +509,7 @@ def test_wootters_concurrence_of_projector_is_pure_concurrence(product, seed):
         state = PureState(np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)))
     else:
         state = random_pure(2, 2, rng)
-    assert abs(wootters_concurrence(density_matrix(state)) - wootters_pure(state)) <= WOOTTERS_TOL
+    assert abs(wootters_concurrence(TwoQubitDensity(density_matrix(state))) - wootters_pure(state)) <= WOOTTERS_TOL
     # on 2x2 states both two-level normalizations are 2 |det A|
     assert max(abs(c(state) - wootters_pure(state)) for c in (rungta_concurrence, af_concurrence)) <= WOOTTERS_TOL
 
@@ -528,10 +529,12 @@ def test_spin_flip_lambdas_match_a_general_eigensolver(rank, seed):
     # rho~ = S rho* S, from LAPACK geev, which the SVD route does not use.
     # Roots of geev's values near 0 lose to ~4e-8, so the squares are compared.
     rho = ginibre_density(rank, seeded_rng(seed))
-    lambdas = spin_flip_lambdas(rho)
+    density = TwoQubitDensity(rho)
+    lambdas = spin_flip_lambdas(density)
     reference = np.sort(np.linalg.eigvals(rho @ SPIN_FLIP @ rho.conj() @ SPIN_FLIP).real)[::-1]
     assert np.max(np.abs(lambdas**2 - reference)) <= 1e-13
-    assert wootters_concurrence(rho, lambdas) == wootters_concurrence(rho)
+    # the memoized lambdas give the concurrence a fresh density computes
+    assert wootters_concurrence(density) == wootters_concurrence(TwoQubitDensity(rho))
 
 
 @derandomized
@@ -541,7 +544,7 @@ def test_negativity_is_sandwiched_by_the_concurrence(rank, seed):
     # density (Verstraete, Audenaert, Dehaene and De Moor, J. Phys. A 34,
     # 10327, 2001); rank 1 meets the upper bound, so it needs a tolerance.
     rho = ginibre_density(rank, seeded_rng(seed))
-    c = wootters_concurrence(rho)
+    c = wootters_concurrence(TwoQubitDensity(rho))
     negativity = 2.0 * max(0.0, -np.linalg.eigvalsh(partial_transpose_b(rho))[0])
     assert negativity <= c + WOOTTERS_TOL
     assert negativity >= math.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c) - WOOTTERS_TOL
@@ -563,7 +566,7 @@ def test_wootters_concurrence_is_local_unitary_invariant(rank, p, seed):
     local = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     turned = local @ rho @ local.conj().T
     turned = 0.5 * (turned + turned.conj().T)
-    assert abs(wootters_concurrence(turned) - wootters_concurrence(rho)) <= 1e-13
+    assert abs(wootters_concurrence(TwoQubitDensity(turned)) - wootters_concurrence(TwoQubitDensity(rho))) <= 1e-13
 
 
 # Signed zeros and subnormals, the values a lossy writer would drop or flush.

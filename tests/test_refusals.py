@@ -22,12 +22,20 @@ HUGE = "1" + "0" * 4999  # beyond the 4300 digits an int literal may have
 ONE = '{"i": 0, "j": 0, "re": 1}'
 
 
-def density_matrix(first_pair):
-    return "[%s]" % ", ".join([first_pair] + ["[0, 0]"] * 15)
+def density_matrix(*pairs):
+    """The leading ``pairs`` of a row-major matrix, zeros after them."""
+    return "[%s]" % ", ".join(list(pairs) + ["[0, 0]"] * (16 - len(pairs)))
 
 
-def density_document(first_pair):
-    return '{"dims": [4], "matrix": %s}' % density_matrix(first_pair)
+def density_document(*pairs):
+    return '{"dims": [4], "matrix": %s}' % density_matrix(*pairs)
+
+
+def diagonal(*values):
+    """The pairs of a matrix up to its last given diagonal entry, zeros off it."""
+    pairs = ["[0, 0]"] * (5 * len(values) - 4)
+    pairs[::5] = ["[%s, 0]" % value for value in values]
+    return pairs
 
 
 PRODUCT_MATRIX = density_matrix("[1, 0]")  # the density of |00>
@@ -272,6 +280,32 @@ CASES = [
     ),
     ("top-level-list", "measure", "[1e999]", 2, not_finite("1e999")),
     ("density-dims", "wootters", '{"dims": [2], "matrix": []}', 2, "{path}: density 'dims' must be [4]"),
+    # a density is checked as its document is read, so a domain refusal also re-parses strictly
+    ("density-not-hermitian", "wootters", density_document("[1, 1]"), 1, "density is not Hermitian within 1e-12"),
+    ("density-trace-two", "wootters", density_document("[2, 0]"), 1, "trace 2.0 deviates from 1 beyond 1e-9"),
+    (
+        "density-negative-eigenvalue",
+        "wootters",
+        density_document(*diagonal(1.5, -0.5)),
+        1,
+        "negative eigenvalue -5.000e-01",
+    ),
+    ("overflow-in-non-hermitian-density", "wootters", density_document("[1, 1]", "[1e999, 0]"), 2, not_finite("1e999")),
+    # finite entries whose checks overflow are refused without a RuntimeWarning
+    (
+        "density-hermitian-residual-overflows",
+        "wootters",
+        density_document("[1e308, 1e308]"),
+        1,
+        "density is not Hermitian within 1e-12",
+    ),
+    (
+        "density-trace-overflows",
+        "wootters",
+        density_document(*diagonal("1e308", "1e308", "1e308", "1e308")),
+        1,
+        "trace inf deviates from 1 beyond 1e-9",
+    ),
 ]
 
 

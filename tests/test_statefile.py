@@ -118,7 +118,7 @@ def test_parse_density_roundtrip(tmp_path):
         "matrix": [[float(rho[i, j].real), float(rho[i, j].imag)] for i in range(4) for j in range(4)],
     }
     path = write_doc(tmp_path, "rho.json", payload)
-    assert np.array_equal(parse_density(path)[0], rho.astype(complex))
+    assert np.array_equal(parse_density(path)[0].matrix, rho.astype(complex))
 
 
 @pytest.mark.parametrize(
