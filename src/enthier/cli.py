@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
     Parsing never writes to the parser, and no handler writes to the parsed
-    defaults, so calls in one process stay independent. ``main`` gives a
-    call that names its subcommand first straight to that subcommand's
-    parser, and every other call to this one.
+    defaults; beyond the parser, calls share only ``statefile``'s immutable
+    last document, keyed by its bytes and arguments, so calls in one process
+    stay independent. ``main`` gives a call that names its subcommand first
+    straight to that subcommand's parser, and every other call to this one.
     """
     global _PARSER
     if _PARSER is None:

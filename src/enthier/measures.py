@@ -240,9 +240,11 @@ class TwoQubitDensity:
             trace = complex(np.trace(a)).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
             raise InvalidDensity(f"trace {trace!r} deviates from 1 beyond 1e-9")
-        smallest = np.linalg.eigvalsh(a)[0]
-        if smallest < -DENSITY_POSITIVITY_TOL:
-            raise InvalidDensity(f"negative eigenvalue {smallest:.3e}")
+        eigenvalues = np.linalg.eigvalsh(a)
+        if not np.all(np.isfinite(eigenvalues)):  # entries near 1e308 can overflow the eigensolve to NaNs
+            raise InvalidDensity("density eigenvalues are not finite")
+        if eigenvalues[0] < -DENSITY_POSITIVITY_TOL:
+            raise InvalidDensity(f"negative eigenvalue {eigenvalues[0]:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 

@@ -27,6 +27,7 @@ _DENSITY_KEYS = {"dims", "matrix"}
 # JSON numbers by exact type: true and false are not numbers, although bool subclasses int
 _NUMBER_TYPES = (int, float)
 _ENTRY_FIELDS = operator.itemgetter("i", "j", "re", "im")
+_last_built: tuple = (None, None)  # ((build, args, SHA-256 of the bytes), object) of the last success
 
 
 def _json_object(text: str, path, strict: bool = False) -> dict:
@@ -94,7 +95,9 @@ def _read_document(path, build, *args):
     """``build(document, path, *args)`` on the JSON object in a file, and the
     SHA-256 of the file's bytes, which are read once: a pipe cannot be read
     twice. ``_json_object`` refuses a field named twice before ``build``
-    sees the document.
+    sees the document. The bytes, ``build`` and ``args`` of the last document
+    built give back its immutable object, memos and all, unparsed; every
+    call still reads and hashes the file, so changed bytes are built afresh.
 
     The fast parse lets through literals that the strict one refuses as not
     finite in double precision (``1e999``, an int that float() cannot
@@ -104,17 +107,23 @@ def _read_document(path, build, *args):
     same bytes are parsed strictly, and a literal refused there is reported
     in place of the first refusal.
     """
+    global _last_built
     try:
         with open(path, "rb") as file:
             data = file.read()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return build(_json_object(text, path), path, *args), hashlib.sha256(data).hexdigest()
-    except (EnthierError, MemoryError, OverflowError, ValueError):
-        _json_object(text, path, strict=True)
-        raise
+    key = (build, args, hashlib.sha256(data).hexdigest())
+    last_key, built = _last_built  # one read, so another thread's entry is never returned
+    if key != last_key:
+        try:
+            built = build(_json_object(text, path), path, *args)
+        except (EnthierError, MemoryError, OverflowError, ValueError):
+            _json_object(text, path, strict=True)
+            raise
+        _last_built = key, built
+    return built, key[2]
 
 
 def _parse_dims(document: dict, path, expected_rank: int) -> list[int]:
@@ -196,7 +205,8 @@ def _state(document: dict, path, renormalize: bool) -> PureState:
 
 def parse_state(path, renormalize: bool = False) -> tuple[PureState, str]:
     """Read a state document; see the module docstring for the format.
-    Returns the state and the SHA-256 hex digest of the file's bytes.
+    Returns the state and the SHA-256 hex digest of the file's bytes; the
+    bytes and ``renormalize`` of the last document built give back its state.
 
     Structural problems raise ParseError naming the offending field;
     domain violations (normalization, index range, duplicates) raise
@@ -228,7 +238,8 @@ def _density(document: dict, path) -> TwoQubitDensity:
 def parse_density(path) -> tuple[TwoQubitDensity, str]:
     """Read a two-qubit density document into a ``TwoQubitDensity``, with the
     SHA-256 hex digest of the file's bytes. The density is checked as the
-    document is read, so an overflowing literal is named, not its inf."""
+    document is read, so an overflowing literal is named, not its inf. The
+    bytes of the last document built give back its density, lambdas memoized."""
     return _read_document(path, _density)
 
 

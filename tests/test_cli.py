@@ -1157,3 +1157,75 @@ def test_json_reports_never_take_the_pure_python_encoder(tmp_path, capsys, monke
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
     with pytest.raises(AssertionError):  # the guard bites where the encoder runs
         json.dumps([1.0], indent=2)
+
+
+# ----------------------------------------------------------- document memo
+
+
+def test_measure_on_every_route_builds_the_document_once(capsys, monkeypatch):
+    # the cross-check's three routes on one document in one process: one build,
+    # one spectrum and one e_k pass, while each route's own kernel still runs
+    counts = count_calls(
+        monkeypatch,
+        [
+            (states, "from_amplitudes"),
+            (linalg, "singular_values_squared"),
+            (linalg, "elementary_symmetric"),
+            (linalg, "minor_sum"),
+        ],
+    )
+    for route in ("eig", "minors", "newton"):
+        assert main(["measure", str(SNAPSHOTS / "state_hand_3x4.json"), "--path", route, "--json"]) == 0
+        assert capsys.readouterr().out == (SNAPSHOTS / f"hand_3x4_measure_{route}.json").read_text()
+    assert dict(counts) == {
+        "states.from_amplitudes": 1,
+        "linalg.singular_values_squared": 1,
+        "linalg.elementary_symmetric": 1,
+        "linalg.minor_sum": 1,
+    }
+
+
+def test_rewritten_document_is_built_afresh(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    counts = count_calls(monkeypatch, [(states, "from_schmidt")])
+    _, first = run_json(capsys, ["measure", path])
+    write_json(tmp_path, "psi.json", DOMINANT_SOURCE_DOC)
+    _, second = run_json(capsys, ["measure", path])
+    assert counts["states.from_schmidt"] == 2
+    digest = second["provenance"]["input_digest"]
+    assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest() != first["provenance"]["input_digest"]
+    assert np.allclose(second["results"]["schmidt_spectrum"], [0.55, 0.3, 0.15], atol=1e-12)
+
+
+def test_document_memo_is_keyed_by_the_arguments_too(tmp_path, capsys):
+    path = write_json(tmp_path, "psi.json", {"dims": [1, 1], "schmidt": [1.001]})
+    assert main(["measure", path, "--renormalize"]) == 0
+    capsys.readouterr()
+    assert main(["measure", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: norm 1.001 deviates from 1 beyond 1e-6; pass renormalize\n"
+
+
+def test_refused_document_is_refused_again(tmp_path, capsys):
+    # a refusal is never kept, so the strict re-parse names the literal each time
+    path = tmp_path / "psi.json"
+    path.write_text('{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": 1e999}]}')
+    for _ in range(2):
+        assert main(["measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: number 1e999 is not finite in double precision\n"
+
+
+def test_wootters_twice_checks_the_density_once(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "werner.json", density_doc(0.9 * bell_projector() + 0.1 * np.eye(4) / 4.0))
+    checks = []
+    check = measures.TwoQubitDensity.__post_init__
+    monkeypatch.setattr(measures.TwoQubitDensity, "__post_init__", lambda self: checks.append(1) or check(self))
+    outputs = []
+    for _ in range(2):
+        assert main(["wootters", path, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(checks) == 1
+    assert outputs[0] == outputs[1]

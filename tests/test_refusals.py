@@ -306,6 +306,14 @@ CASES = [
         1,
         "trace inf deviates from 1 beyond 1e-9",
     ),
+    # a Hermitian unit-trace density whose eigensolve overflows to NaNs
+    (
+        "density-eigenvalues-overflow",
+        "wootters",
+        density_document("[0.5, 0]", "[1.7e308, 1.7e308]", "[0, 0]", "[0, 0]", "[1.7e308, -1.7e308]", "[0.5, 0]"),
+        1,
+        "density eigenvalues are not finite",
+    ),
 ]
 
 

@@ -221,3 +221,17 @@ def test_field_names_spelled_with_escapes_parse_as_themselves(tmp_path):
     path = write_doc(tmp_path, "escaped.json", text)
     state, _ = parse_state(path)
     assert state.amplitudes[1, 1] == 1.0
+
+
+def test_the_same_bytes_give_back_the_same_object(tmp_path):
+    path = write_doc(tmp_path, "psi.json", {"dims": [2, 2], "schmidt": [0.6, 0.8]})
+    state, digest = parse_state(path)
+    again, again_digest = parse_state(path)
+    assert again is state and again_digest == digest
+    # other arguments, or another document built between, build afresh
+    assert parse_state(path, renormalize=True)[0] is not state
+    matrix = [[0.25 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+    rho = write_doc(tmp_path, "rho.json", {"dims": [4], "matrix": matrix})
+    density, _ = parse_density(rho)
+    assert parse_density(rho)[0] is density
+    assert parse_state(path)[0] is not state
