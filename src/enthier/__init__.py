@@ -15,17 +15,15 @@ from .errors import (
     NegativeCoefficient,
     NonFiniteInput,
     NonPositiveOrder,
-    NonSquareMatrix,
-    NoSignChange,
     NotNormalized,
     ParseError,
     ZeroState,
 )
 from .linalg import (
-    bisect_root,
     elementary_symmetric,
     minor_sum,
     seeded_rng,
+    seeded_streams,
     singular_values_squared,
 )
 from .locc import (

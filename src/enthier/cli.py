@@ -3,6 +3,8 @@
 Subcommands: measure, locc, wootters, scan, paper-examples, schmidt,
 emit-state. Exit codes: 0 success, 1 domain error, out of memory or
 stdout closed by its reader, 2 parse/usage error, 3 self-check failure.
+``scan`` takes its per-sample streams from ``linalg.seeded_streams`` and
+keeps only the chunking and the counting.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import os
 import sys
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .errors import EnthierError, ParseError
-from .linalg import seeded_rng
+from .linalg import seeded_streams
 from .locc import (
     COMPARABLE,
     INCOMPARABLE_FULL,
@@ -57,96 +58,6 @@ _HIERARCHY_PATHS = {
 # scan --dims 48 --samples 2000 takes 14 pairs at a time instead of stacking
 # 147 MB; at d = 3 one chunk covers 3640 pairs.
 _SCAN_CHUNK_ENTRIES = 1 << 16
-
-# Fewest streams a scan chunk hashes in one vectorized pass. Measured with
-# numpy 2.4.6 on a 2-core x86-64 host: default_rng((seed, i)) costs 10-20 us
-# per stream; the pass costs 45-65 us fixed plus 2-3 us per stream for PCG64
-# and the Generator. They break even at 4-5 streams. scan --dims 48 draws one
-# pair per call and keeps seeded_rng.
-_HASHED_STREAMS_MIN = 6
-
-# numpy's SeedSequence (NEP 19 keeps a seeded stream stable across releases;
-# the hash is M. E. O'Neill's seed_seq_fe, pcg-random.org, 2015). An entropy
-# (seed, i) with both words below 2^32 fills a 4-word uint32 pool [seed, i, 0, 0].
-# Each hashmix step XORs a word with the running hash constant, advances the
-# constant by one multiplication, multiplies by the new one and xorshifts.
-# Mixing word src into word dst sets dst to L dst - R hashmix(src), xorshifted.
-# The hash constants never depend on the data, so they are computed once here.
-_MASK32 = 0xFFFFFFFF
-_XSHIFT = np.uint32(16)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """XOR and multiplier columns of ``count`` successive hashmix steps."""
-    chain = [init]
-    for _ in range(count):
-        chain.append((chain[-1] * mult) & _MASK32)
-    table = np.array(chain, np.uint32)
-    return table[:-1, None], table[1:, None]
-
-
-_POOL_XORS, _POOL_MULTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-# Word src mixes into the other three words, in order, with steps 4 + 3 src
-# to 6 + 3 src; its own row takes step 0, and that result is dropped.
-_POOL_CROSS = [
-    (_POOL_XORS[rows], _POOL_MULTS[rows])
-    for rows in (np.insert(np.arange(4 + 3 * src, 7 + 3 * src), src, 0) for src in range(4))
-]
-# generate_state(4, np.uint64) reads the pool twice round as 8 uint32 words
-_STATE_XORS, _STATE_MULTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    mixed = (words ^ xors) * mults
-    return mixed ^ (mixed >> _XSHIFT)
-
-
-def _stream_words(seed: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each i in
-    [start, stop), one row each, from one pass in uint32 arithmetic; the seed
-    and every index must be below 2^32."""
-    pool = np.zeros((4, stop - start), np.uint32)
-    pool[0] = seed
-    pool[1] = np.arange(start, stop, dtype=np.uint32)
-    pool = _hashmix(pool, _POOL_XORS[:4], _POOL_MULTS[:4])
-    for src in range(4):
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(pool[src], *_POOL_CROSS[src])
-        mixed ^= mixed >> _XSHIFT
-        mixed[src] = pool[src]
-        pool = mixed
-    state = _hashmix(np.tile(pool, (2, 1)), _STATE_XORS, _STATE_MULTS)
-    # little-endian word pairs, as SeedSequence joins them on every platform
-    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-class _HashedSeed(ISeedSequence):
-    """A seed whose PCG64 state words are already hashed. PCG64 asks for
-    generate_state(4, np.uint64) once, and gets them as they are."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _scan_streams(seed: int, start: int, stop: int):
-    """The streams ``seeded_rng((seed, i))`` gives for i in [start, stop),
-    bit for bit, built one at a time as they are taken.
-
-    A seed or an index of 2^32 or more spreads over more pool words, and a
-    range of fewer than _HASHED_STREAMS_MIN streams does not repay the
-    vectorized pass: those take seeded_rng one index at a time.
-    """
-    if seed > _MASK32 or stop > _MASK32 + 1 or stop - start < _HASHED_STREAMS_MIN:
-        for index in range(start, stop):
-            yield seeded_rng((seed, index))
-        return
-    for words in _stream_words(seed, start, stop):
-        yield np.random.Generator(np.random.PCG64(_HashedSeed(words)))
-
 
 def _report(args, results: dict, **provenance) -> ReportDocument:
     return ReportDocument(args.command, results, {"tool": "enthier", "version": __version__, **provenance})
@@ -249,7 +160,7 @@ def _cmd_scan(args) -> tuple[ReportDocument, int]:
     pairs_per_chunk = max(1, _SCAN_CHUNK_ENTRIES // (2 * args.dims * args.dims))
     for start in range(0, args.samples, pairs_per_chunk):
         # one stream per sample, so the pairs do not depend on the chunking
-        streams = _scan_streams(args.seed, start, min(start + pairs_per_chunk, args.samples))
+        streams = seeded_streams(args.seed, start, min(start + pairs_per_chunk, args.samples))
         chunk = [random_pure(args.dims, args.dims, rng) for rng in streams for _ in (0, 1)]  # pairs side by side
         hierarchies(chunk)  # one SVD call and one e_k pass fill every state's caches
         for first, second in zip(chunk[::2], chunk[1::2]):

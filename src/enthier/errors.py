@@ -9,21 +9,13 @@ class NonFiniteInput(EnthierError, ValueError):
     """A matrix or amplitude array contains NaN or an infinity."""
 
 
-class NonSquareMatrix(EnthierError):
-    """An input has the wrong number of dimensions: a matrix, or a stack of
-    matrices, was required."""
-
-
 class DimensionTooLargeForNewton(EnthierError):
     """Newton's identities lose relative accuracy on the top levels at high dimension."""
 
 
-class NoSignChange(EnthierError):
-    """Bisection bracket does not straddle a root."""
-
-
 class DimensionMismatch(EnthierError):
-    """Operands have incompatible dimensions."""
+    """Operands have incompatible dimensions, or an input has the wrong
+    number of them: a matrix, or a stack of matrices, was required."""
 
 
 class IndexOutOfRange(EnthierError):

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra for small matrices, on numpy LAPACK and BLAS.
+"""Dense complex linear algebra for small matrices, on numpy LAPACK and
+BLAS, and the seeded random streams ``scan`` replays.
 
 The three concurrence-hierarchy routes in ``measures`` each rest on a
 different kernel, so a fault in one shows up as a disagreement between
@@ -14,36 +15,119 @@ matrix or a spectrum per row, and a single input is a stack of one.
 ``scan`` gets the spectra of a chunk of pairs, at most 2^16 amplitude
 entries, from one SVD call and their levels from one e_k pass, and
 ``paper-examples`` those of its fixture states the same way.
+
+Sample i of a scan seeded with s draws from ``seeded_rng((s, i))``;
+``seeded_streams`` gives those streams for a range of i, bit for bit, from
+numpy's SeedSequence hash written out here over the whole range at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .errors import NonFiniteInput, NonSquareMatrix, NoSignChange
+from .errors import DimensionMismatch, NonFiniteInput
 
 
 def seeded_rng(seed) -> np.random.Generator:
     """Replayable random stream: one seed, one platform-independent stream.
 
     Accepts an integer seed or a sequence of integers for derived streams.
-    ``scan`` builds most of its ``(seed, index)`` streams without this call,
-    bit for bit the streams it returns, so this stays the replay contract.
     """
     return np.random.default_rng(seed)
 
 
-def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a finite 2-D complex array."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2:
-        raise NonSquareMatrix(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteInput("matrix contains non-finite entries")
-    return a
+# Fewest streams a scan chunk hashes in one vectorized pass. Measured with
+# numpy 2.4.6 on a 2-core x86-64 host: default_rng((seed, i)) costs 10-20 us
+# per stream; the pass costs 45-65 us fixed plus 2-3 us per stream for PCG64
+# and the Generator. They break even at 4-5 streams. scan --dims 48 draws one
+# pair per call and keeps seeded_rng.
+_HASHED_STREAMS_MIN = 6
+
+# numpy's SeedSequence (NEP 19 keeps a seeded stream stable across releases;
+# the hash is M. E. O'Neill's seed_seq_fe, pcg-random.org, 2015). An entropy
+# (seed, i) with both words below 2^32 fills a 4-word uint32 pool [seed, i, 0, 0].
+# Each hashmix step XORs a word with the running hash constant, advances the
+# constant by one multiplication, multiplies by the new one and xorshifts.
+# Mixing word src into word dst sets dst to L dst - R hashmix(src), xorshifted.
+# The hash constants never depend on the data, so they are computed once here.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR and multiplier columns of ``count`` successive hashmix steps."""
+    chain = [init]
+    for _ in range(count):
+        chain.append((chain[-1] * mult) & _MASK32)
+    table = np.array(chain, np.uint32)
+    return table[:-1, None], table[1:, None]
+
+
+_POOL_XORS, _POOL_MULTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# Word src mixes into the other three words, in order, with steps 4 + 3 src
+# to 6 + 3 src; its own row takes step 0, and that result is dropped.
+_POOL_CROSS = [
+    (_POOL_XORS[rows], _POOL_MULTS[rows])
+    for rows in (np.insert(np.arange(4 + 3 * src, 7 + 3 * src), src, 0) for src in range(4))
+]
+# generate_state(4, np.uint64) reads the pool twice round as 8 uint32 words
+_STATE_XORS, _STATE_MULTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    mixed = (words ^ xors) * mults
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _stream_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each i in
+    [start, stop), one row each, from one pass in uint32 arithmetic; the seed
+    and every index must be below 2^32."""
+    pool = np.zeros((4, stop - start), np.uint32)
+    pool[0] = seed
+    pool[1] = np.arange(start, stop, dtype=np.uint32)
+    pool = _hashmix(pool, _POOL_XORS[:4], _POOL_MULTS[:4])
+    for src in range(4):
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(pool[src], *_POOL_CROSS[src])
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_XORS, _STATE_MULTS)
+    # little-endian word pairs, as SeedSequence joins them on every platform
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed whose PCG64 state words are already hashed. PCG64 asks for
+    generate_state(4, np.uint64) once, and gets them as they are."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seeded_streams(seed: int, start: int, stop: int):
+    """The streams ``seeded_rng((seed, i))`` gives for i in [start, stop),
+    bit for bit, built one at a time as they are taken: ``scan``'s streams.
+
+    Their PCG64 seeds come from one vectorized SeedSequence pass. A seed or
+    an index of 2^32 or more spreads over more pool words, and a range of
+    fewer than _HASHED_STREAMS_MIN streams does not repay the pass: those
+    take seeded_rng one index at a time.
+    """
+    if seed > _MASK32 or stop > _MASK32 + 1 or stop - start < _HASHED_STREAMS_MIN:
+        for index in range(start, stop):
+            yield seeded_rng((seed, index))
+        return
+    for words in _stream_words(seed, start, stop):
+        yield np.random.Generator(np.random.PCG64(_HashedSeed(words)))
 
 
 def singular_values_squared(matrices) -> np.ndarray:
@@ -59,7 +143,7 @@ def singular_values_squared(matrices) -> np.ndarray:
     """
     a = np.asarray(matrices, dtype=complex)
     if a.ndim < 2:
-        raise NonSquareMatrix(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise NonFiniteInput("matrix contains non-finite entries")
     squares = np.linalg.svd(a, compute_uv=False) ** 2
@@ -116,7 +200,11 @@ def minor_sum(matrix) -> np.ndarray:
     round as numpy's float64 operations do, so the levels have the bits of
     the same recurrence on arrays without a numpy call per step.
     """
-    a = as_complex_matrix(matrix)
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput("matrix contains non-finite entries")
     t = a.copy() if a.shape[0] >= a.shape[1] else a.conj().T.copy()
     d = t.shape[1]
     below = last = [1.0] + [0.0] * d  # m_{j-2}, m_{j-1}
@@ -137,42 +225,10 @@ def minor_sum(matrix) -> np.ndarray:
     return np.array(last[1:])
 
 
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> float:
-    """Bisection on a sign-changing bracket; returns the midpoint of the
-    final interval of width <= tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoSignChange(f"f({lo}) and f({hi}) have the same sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution floor
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 __all__ = [
     "seeded_rng",
-    "as_complex_matrix",
+    "seeded_streams",
     "singular_values_squared",
     "elementary_symmetric",
     "minor_sum",
-    "bisect_root",
 ]

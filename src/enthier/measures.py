@@ -162,16 +162,19 @@ def hierarchy_via_invariants(state: PureState) -> np.ndarray:
 
 
 def renyi_entropy(state: PureState, order: float) -> float:
-    """Renyi entropy of the reduced state, base-2 logarithms.
+    """Renyi entropy of the reduced state, base-2 logarithms, in
+    [0, log2 d] for a spectrum of length d.
 
     Order 1 is the von Neumann limit -sum lambda log2 lambda; infinity is
     the min-entropy -log2 lambda_max. Near 1 the log of the power sum is a
     log1p of same-signed expm1 terms, which does not cancel as 1/|1-order|;
     elsewhere the sum is over lambda / lambda_max, so it cannot underflow.
+    Rounding past either end of the range is clamped to it.
     """
     if not order > 0:
         raise NonPositiveOrder(f"order must be positive, got {order}")
     lam = schmidt_spectrum(state)
+    ceiling = math.log2(lam.size)  # the value on a maximally entangled state
     lam = lam[lam > 0.0]
     if order == 1:
         value = -np.sum(lam * np.log2(lam))
@@ -185,12 +188,12 @@ def renyi_entropy(state: PureState, order: float) -> float:
         top = lam[0]
         scaled_sum = np.sum((lam / top) ** order)
         value = order / (1.0 - order) * np.log2(top) + np.log2(scaled_sum) / (1.0 - order)
-    return max(0.0, float(value))  # a product state gives -0.0
+    return min(ceiling, max(0.0, float(value)))  # a product state gives -0.0
 
 
 def eof_pure(state: PureState) -> float:
     """Entanglement of formation of a pure state, in bits: the von
-    Neumann entropy of the reduced density matrix."""
+    Neumann entropy of the reduced density matrix, in [0, log2 d]."""
     return renyi_entropy(state, 1)
 
 
@@ -202,7 +205,8 @@ def _two_level(state: PureState) -> tuple[int, float]:
 
 def af_concurrence(state: PureState) -> float:
     """Generalized two-level concurrence sqrt(2d/(d-1) C_2) (Albeverio and
-    Fei), normalized to hit 1 on maximally entangled states.
+    Fei), normalized to hit 1 on maximally entangled states: in [0, 1],
+    with rounding past 1 clamped to 1.
 
     C_2 = e_2(lambda) sums nonnegative products, so it keeps its relative
     accuracy near product states, where 1 - sum lambda^2 = 2 C_2 cancels.
@@ -210,13 +214,16 @@ def af_concurrence(state: PureState) -> float:
     d, c2 = _two_level(state)
     if d == 1:
         return 0.0
-    return math.sqrt(d / (d - 1)) * math.sqrt(2.0 * c2)
+    return min(1.0, math.sqrt(d / (d - 1)) * math.sqrt(2.0 * c2))
 
 
 def rungta_concurrence(state: PureState) -> float:
     """Universal-inverter concurrence 2 sqrt(C_2) (Rungta et al.), which is
-    sqrt(2 (1 - sum lambda^2)) taken without its cancellation."""
-    return 2.0 * math.sqrt(_two_level(state)[1])
+    sqrt(2 (1 - sum lambda^2)) taken without its cancellation: in
+    [0, sqrt(2(d-1)/d)], the top reached on maximally entangled states, with
+    rounding past it clamped to it."""
+    d, c2 = _two_level(state)
+    return min(math.sqrt(2.0 * (d - 1) / d), 2.0 * math.sqrt(c2))
 
 
 @dataclass(frozen=True, eq=False)

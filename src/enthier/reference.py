@@ -3,14 +3,13 @@
 These fixtures back the ``paper-examples`` command: two famous
 incomparable pairs of 3x3 Schmidt spectra, the one-parameter diagonal
 family that realizes the unit-entropy / equal-concurrence coincidences,
-and the bisection root where that family reaches one ebit.
+and the root where that family reaches one ebit, found by bisection.
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg import bisect_root
 from .locc import hierarchy_dominance, nielsen_verdict
 from .measures import af_concurrence, eof_pure, hierarchies, hierarchy, hierarchy_via_minors
 from .states import PureState, from_schmidt
@@ -59,8 +58,17 @@ def unit_eof_equation(x: float) -> float:
 
 
 def solve_unit_eof_x() -> float:
-    """Root of the unit-entropy equation inside (0, 1/2), near 0.2271."""
-    return bisect_root(unit_eof_equation, 0.01, 0.49)
+    """Root of the unit-entropy equation inside (0, 1/2), near 0.2271, by
+    bisection of (0.01, 0.49) down to a bracket at most 1e-10 wide."""
+    lo, hi = 0.01, 0.49
+    lo_positive = unit_eof_equation(lo) > 0.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if (unit_eof_equation(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def build_report() -> tuple[dict, list[str]]:

@@ -76,7 +76,8 @@ class PureState:
 
     Row index addresses the first subsystem, column index the second, so
     entry (i, j) is the amplitude on the product basis vector |ij>. Instances
-    are immutable; ``PureState(a)`` copies ``a`` and checks its unit norm.
+    are immutable and compare by identity; ``PureState(a)`` copies ``a`` and
+    checks its unit norm.
     """
 
     amplitudes: np.ndarray
@@ -112,15 +113,6 @@ class PureState:
     @property
     def dim_b(self) -> int:
         return self.amplitudes.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PureState):
-            return NotImplemented
-        return self.amplitudes.shape == other.amplitudes.shape and bool(
-            np.array_equal(self.amplitudes, other.amplitudes)
-        )
-
-    __hash__ = object.__hash__
 
 
 def from_amplitudes(dim_a: int, dim_b: int, entries, renormalize: bool = False) -> PureState:

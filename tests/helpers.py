@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from enthier.errors import DimensionMismatch
-from enthier.linalg import as_complex_matrix
+from enthier.errors import DimensionMismatch, NonFiniteInput
 from enthier.states import PureState
 
 UNITARY_TOL = 1e-10
@@ -22,8 +21,20 @@ class NonUnitaryInput(ValueError):
     """Matrix is not square, or fails the U U^dag = I check beyond UNITARY_TOL."""
 
 
+def same_state(first: PureState, second: PureState) -> bool:
+    """Value equality of two states: the same shape and the same amplitudes.
+    PureState itself compares by identity."""
+    return first.amplitudes.shape == second.amplitudes.shape and bool(
+        np.array_equal(first.amplitudes, second.amplitudes)
+    )
+
+
 def require_unitary(matrix) -> np.ndarray:
-    a = as_complex_matrix(matrix)
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput("matrix contains non-finite entries")
     if a.shape[0] != a.shape[1]:
         raise NonUnitaryInput(f"unitary input must be square, got {a.shape}")
     residual = np.linalg.norm(a @ a.conj().T - np.eye(a.shape[0]))

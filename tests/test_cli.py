@@ -552,7 +552,7 @@ def test_wootters_invalid_density_is_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "seed, samples",
-    [(3, 150), (2**32 + 3, 150), (3, cli._HASHED_STREAMS_MIN - 1)],
+    [(3, 150), (2**32 + 3, 150), (3, linalg._HASHED_STREAMS_MIN - 1)],
     ids=["hashed-streams", "wide-seed", "few-samples"],
 )
 def test_scan_two_level_never_fully_dominant(capsys, seed, samples):
@@ -694,8 +694,9 @@ def test_scan_pairs_states_across_chunk_boundaries(monkeypatch, capsys, dims):
         assert payload["results"]["counts"] == replayed_scan_counts(dims, 53, seed)
 
 
-# Index ranges across scan's chunk edges (3640 pairs at d=3, 14 at d=48) and
-# up to the last index one pool word holds, each with a dimension to draw.
+# Scan's streams, as linalg.seeded_streams builds them. Index ranges across
+# scan's chunk edges (3640 pairs at d=3, 14 at d=48) and up to the last index
+# one pool word holds, each with a dimension to draw.
 HASHED_RANGES = [(0, 50, 48), (3630, 3650, 3), (7270, 7290, 3), (2**32 - 30, 2**32, 3)]
 
 
@@ -704,7 +705,7 @@ def test_scan_stream_words_are_seed_sequence_words(seed):
     # NEP 19 keeps SeedSequence's output stable across numpy releases; a
     # release that changed it would fail here before it moved scan's counts.
     for start, stop in [(0, 3700), (2**32 - 300, 2**32)]:
-        words = cli._stream_words(seed, start, stop)
+        words = linalg._stream_words(seed, start, stop)
         assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
         for index, row in zip(range(start, stop), words):
             assert row.tobytes() == np.random.SeedSequence((seed, index)).generate_state(4, np.uint64).tobytes()
@@ -714,7 +715,7 @@ def test_scan_stream_words_are_seed_sequence_words(seed):
 def test_scan_streams_draw_as_default_rng(monkeypatch, seed):
     counts = count_calls(monkeypatch, [(linalg, "seeded_rng")])
     for start, stop, dims in HASHED_RANGES:
-        streams = list(cli._scan_streams(seed, start, stop))
+        streams = list(linalg.seeded_streams(seed, start, stop))
         assert len(streams) == stop - start
         for index, rng in zip(range(start, stop), streams):
             expected = np.random.default_rng((seed, index)).standard_normal((2, dims, dims))
@@ -728,13 +729,13 @@ def test_scan_streams_draw_as_default_rng(monkeypatch, seed):
         (2**32, 0, 20),  # a seed of two words
         (2**64 + 5, 3630, 3650),  # a seed of three words
         (7, 2**32 - 10, 2**32 + 10),  # indices past one word
-        (7, 100, 100 + cli._HASHED_STREAMS_MIN - 1),  # too few streams to hash
+        (7, 100, 100 + linalg._HASHED_STREAMS_MIN - 1),  # too few streams to hash
     ],
     ids=["seed-2^32", "seed-2^64+5", "index-2^32", "short"],
 )
 def test_scan_streams_fall_back_to_seeded_rng(monkeypatch, seed, start, stop):
     counts = count_calls(monkeypatch, [(linalg, "seeded_rng")])
-    streams = list(cli._scan_streams(seed, start, stop))
+    streams = list(linalg.seeded_streams(seed, start, stop))
     assert counts["linalg.seeded_rng"] == stop - start
     for index, rng in zip(range(start, stop), streams):
         expected = np.random.default_rng((seed, index)).standard_normal((2, 3, 3))
@@ -743,7 +744,7 @@ def test_scan_streams_fall_back_to_seeded_rng(monkeypatch, seed, start, stop):
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_scan_replays_on_both_sides_of_the_hashed_stream_crossover(capsys, dims):
-    for samples in range(1, cli._HASHED_STREAMS_MIN + 3):
+    for samples in range(1, linalg._HASHED_STREAMS_MIN + 3):
         for seed in (0, 2**32 + 1):
             code, payload = run_json(
                 capsys, ["scan", "--dims", str(dims), "--samples", str(samples), "--seed", str(seed)]
@@ -815,6 +816,9 @@ GOLDEN_TARGET = str(SNAPSHOTS / "state_060_020_020.json")
         (["scan", "--dims", "3", "--samples", "300", "--seed", "0", "--json"], "scan_d3_seed0.json"),
         # The Werner state at p = 0.6, well away from the PPT boundary at p = 1/3.
         (["wootters", str(SNAPSHOTS / "werner_060.json"), "--json"], "werner_060_wootters.json"),
+        # A seed of 2^32 spreads over two pool words, so every stream of this
+        # scan comes from seeded_rng, not from the hashed pass seed 0 takes.
+        (["scan", "--dims", "3", "--samples", "300", "--seed", str(2**32), "--json"], "scan_d3_seed4294967296.json"),
     ],
 )
 def test_paper_examples_output_matches_snapshot(capsys, argv, snapshot):

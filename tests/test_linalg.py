@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from enthier.errors import (
+    DimensionMismatch,
     NonFiniteInput,
-    NonSquareMatrix,
-    NoSignChange,
 )
 from enthier.linalg import (
-    bisect_root,
     elementary_symmetric,
     minor_sum,
     seeded_rng,
@@ -123,7 +121,7 @@ def test_singular_values_of_a_stack_keep_shape_and_checks():
     squares = singular_values_squared(stack)
     assert squares.shape == (2, 2, 2)
     assert np.array_equal(squares[1, 0], singular_values_squared(stack[1, 0]))
-    with pytest.raises(NonSquareMatrix):
+    with pytest.raises(DimensionMismatch):
         singular_values_squared([0.5, 0.5])
     stack[1, 1, 0, 2] = np.inf
     with pytest.raises(NonFiniteInput):
@@ -315,29 +313,3 @@ def test_seeded_rng_bit_identical_streams():
     b = seeded_rng(77).standard_normal(1000)
     assert np.array_equal(a, b)
 
-
-# -------------------------------------------------------------- bisection
-
-
-def test_bisect_linear():
-    assert abs(bisect_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12) - 0.5) <= 1e-11
-
-
-def test_bisect_unit_entropy_equation():
-    f = lambda x: x**x * (2.0 * (1.0 - x)) ** (1.0 - x) - 1.0
-    root = bisect_root(f, 0.01, 0.49, 1e-6)
-    assert abs(root - 0.2271) <= 5e-4
-
-
-def test_bisect_quadratic_root_third():
-    root = bisect_root(lambda x: (3.0 * x - 1.0) * (x - 1.0), 0.0, 0.9, 1e-9)
-    assert abs(root - 1.0 / 3.0) <= 1e-8
-
-
-def test_bisect_requires_sign_change():
-    with pytest.raises(NoSignChange):
-        bisect_root(lambda x: x + 1.0, 0.0, 1.0, 1e-6)
-
-
-def test_bisect_endpoint_root():
-    assert bisect_root(lambda x: x, 0.0, 1.0, 1e-6) == 0.0

@@ -26,11 +26,13 @@ from enthier.measures import (
     SPIN_FLIP,
     TwoQubitDensity,
     af_concurrence,
+    eof_pure,
     hierarchy,
     hierarchy_via_invariants,
     hierarchy_via_minors,
     invariants,
     partial_transpose_b,
+    renyi_entropy,
     rungta_concurrence,
     spin_flip_lambdas,
     wootters_concurrence,
@@ -45,7 +47,7 @@ from enthier.states import (
     random_pure,
     schmidt_spectrum,
 )
-from helpers import apply_local_unitary, density_matrix, random_unitary, t_transform_source, wootters_pure
+from helpers import apply_local_unitary, density_matrix, random_unitary, same_state, t_transform_source, wootters_pure
 
 ROUTE_TOL = 1e-8  # the triple-path agreement tolerance of the acceptance tests
 HAAR_LEVEL_RTOL = 1e-10  # worst seen over 600 Haar draws with d <= 8: 2.3e-14
@@ -613,7 +615,7 @@ def unsigned_parts(count, renormalize):
 
 def owned_and_checked(state, *inputs):
     """The state holds what PureState(...) accepts, read-only, sharing no memory with its inputs."""
-    assert PureState(state.amplitudes) == state
+    assert same_state(PureState(state.amplitudes), state)
     assert not state.amplitudes.flags.writeable
     assert not any(np.shares_memory(state.amplitudes, x) for x in inputs)
 
@@ -646,6 +648,64 @@ def test_amplitude_states_hold_only_what_the_checks_accept(data, dim_a, dim_b, r
     values = (parts[:count] + 1j * parts[count:]).reshape(dim_a, dim_b)
     entries = [(i, j, values[i, j]) for i in range(dim_a) for j in range(dim_b)]
     owned_and_checked(from_amplitudes(dim_a, dim_b, entries, renormalize=renormalize), values, magnitudes)
+
+
+# Both ends of every range: product states give 0, and maximally entangled
+# d x d states the maximum, where rounding used to overshoot by a few ulps.
+BOUNDED_EXAMPLES = [from_schmidt([1.0] + [0.0] * (d - 1)) for d in (1, 2, 3, 8, 48)] + [
+    from_schmidt([1.0] * d, renormalize=True) for d in range(2, 49)
+]
+
+
+def bounded_states():
+    """Haar states, Schmidt states from unsigned parts at any scale, and
+    rotated states with graded spectra."""
+    haar = st.builds(lambda a, b, seed: random_pure(a, b, seeded_rng(seed)), dims, dims, seeds)
+    schmidt = st.integers(min_value=1, max_value=12).flatmap(lambda d: unsigned_parts(d, True))
+    graded = st.builds(
+        lambda d, decades, seed: rotated(diagonal_state(graded_spectrum(d, decades, seeded_rng(seed))), seeded_rng(seed)),
+        st.integers(min_value=2, max_value=12),
+        st.floats(min_value=0.0, max_value=14.0),
+        seeds,
+    )
+    return st.one_of(haar, schmidt.map(lambda parts: from_schmidt(np.array(parts), renormalize=True)), graded)
+
+
+def with_examples(states):
+    def decorate(test):
+        for state in states:
+            test = example(state=state)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@with_examples(BOUNDED_EXAMPLES)
+@given(state=bounded_states())
+def test_two_level_concurrences_and_entropies_stay_in_their_ranges(state):
+    spectrum = schmidt_spectrum(state)
+    d = spectrum.size
+    orders = (0.5, 1.0, 2.0, 3.0, math.inf)
+    values = {
+        "af_concurrence": af_concurrence(state),
+        "rungta_concurrence": rungta_concurrence(state),
+        "eof": eof_pure(state),
+        **{f"renyi {order}": renyi_entropy(state, order) for order in orders},
+    }
+    tops = {
+        "af_concurrence": 1.0 if d > 1 else 0.0,
+        "rungta_concurrence": math.sqrt(2.0 * (d - 1) / d),
+        "eof": math.log2(d),
+        **{f"renyi {order}": math.log2(d) for order in orders},
+    }
+    for name, value in values.items():
+        assert 0.0 <= value <= tops[name], name
+    if np.count_nonzero(spectrum) == 1:  # a product state
+        assert all(value == 0.0 for value in values.values())
+    if np.ptp(spectrum) <= EPS:  # a flat spectrum: maximally entangled
+        for name, value in values.items():
+            assert math.isclose(value, tops[name], rel_tol=1e-12), name
 
 
 def numpy_normalized(values, renormalize, what):

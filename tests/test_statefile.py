@@ -9,6 +9,7 @@ from enthier.errors import NegativeCoefficient, NotNormalized, ParseError
 from enthier.linalg import seeded_rng
 from enthier.statefile import parse_density, parse_state, state_document, write_state
 from enthier.states import from_schmidt, random_pure, schmidt_spectrum
+from helpers import same_state
 
 
 def write_doc(tmp_path, name, payload):
@@ -98,7 +99,7 @@ def test_state_round_trip_exact(tmp_path):
         path = tmp_path / f"state{index}.json"
         write_state(state, path)
         recovered, _ = parse_state(path)
-        assert recovered == state  # bit-identical amplitudes after JSON round trip
+        assert same_state(recovered, state)  # bit-identical amplitudes after JSON round trip
 
 
 def test_state_document_sparse():
