@@ -332,12 +332,16 @@ def main(argv=None) -> int:
     if isinstance(output, ReportDocument):
         output = output.to_json() if args.json else output.render()
     try:
+        if sys.stdout is None:  # closed at start, as by `>&-`
+            raise OSError("standard output is closed")
         print(output)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`). Point the descriptor
-        # at devnull so the interpreter's flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # A reader that closed stdout early (say, `| head`) is silent. Point
+        # fd 1 at devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     return exit_code
 

@@ -47,7 +47,7 @@ PPT_TOL = 1e-10
 NEWTON_DIM_LIMIT = 8
 
 # Squared singular values of sqrt(rho) S sqrt(rho)* below this are dust.
-# The SVD still needs the floor: ``_psd_sqrt`` turns eigenvalue dust of
+# The SVD still needs the floor: the square root turns eigenvalue dust of
 # rho (~1e-16) into roots of ~1e-8, which leave squares of ~1e-17 on
 # product states, and so lambdas of ~3e-9 in a concurrence that is 0.
 _LAMBDA_SQ_FLOOR = 1e-13
@@ -230,9 +230,12 @@ def rungta_concurrence(state: PureState) -> float:
 class TwoQubitDensity:
     """A checked two-qubit density: ``TwoQubitDensity(rho)`` copies ``rho``
     and refuses it unless it is a finite, Hermitian, unit-trace, positive
-    4x4 matrix. Its spin-flip lambdas are memoized on it, read-only."""
+    4x4 matrix. The eigendecomposition that checks positivity also gives
+    sqrt(rho), its eigenvalue dust below 0 zeroed; the root and the
+    spin-flip lambdas are kept on the density, read-only."""
 
     matrix: np.ndarray
+    _root: np.ndarray = field(init=False, repr=False)
     _lambdas: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -247,22 +250,17 @@ class TwoQubitDensity:
             trace = complex(np.trace(a)).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
             raise InvalidDensity(f"trace {trace!r} deviates from 1 beyond 1e-9")
-        eigenvalues = np.linalg.eigvalsh(a)
+        eigenvalues, vectors = np.linalg.eigh(a)
         if not np.all(np.isfinite(eigenvalues)):  # entries near 1e308 can overflow the eigensolve to NaNs
             raise InvalidDensity("density eigenvalues are not finite")
         if eigenvalues[0] < -DENSITY_POSITIVITY_TOL:
             raise InvalidDensity(f"negative eigenvalue {eigenvalues[0]:.3e}")
-        a.setflags(write=False)
+        eigenvalues[eigenvalues < 0.0] = 0.0
+        root = (vectors * np.sqrt(eigenvalues)) @ vectors.conj().T
+        for array in (a, root):
+            array.setflags(write=False)
         object.__setattr__(self, "matrix", a)
-
-
-def _psd_sqrt(matrix) -> np.ndarray:
-    """Square root of a ``TwoQubitDensity`` matrix, positive within its
-    tolerance, so negative eigenvalues are rounding dust and are zeroed."""
-    values, vectors = np.linalg.eigh(matrix)
-    values[values < 0.0] = 0.0
-    roots = np.sqrt(values)
-    return (vectors * roots) @ vectors.conj().T
+        object.__setattr__(self, "_root", root)
 
 
 def spin_flip_lambdas(density: TwoQubitDensity) -> np.ndarray:
@@ -270,10 +268,11 @@ def spin_flip_lambdas(density: TwoQubitDensity) -> np.ndarray:
     = S rho* S is the spin-flipped conjugate of rho and S = SPIN_FLIP.
 
     These are the singular values of M = sqrt(rho) S sqrt(rho)*: M M^dagger
-    is sqrt(rho) rho~ sqrt(rho), which shares the spectrum of rho rho~.
-    They are cached on the density, read-only, so the SVD runs once."""
+    is sqrt(rho) rho~ sqrt(rho), which shares the spectrum of rho rho~, and
+    sqrt(rho) is the density's own. They are cached on it, read-only, so
+    the SVD runs once."""
     if density._lambdas is None:
-        root = _psd_sqrt(density.matrix)
+        root = density._root
         squares = singular_values_squared(root @ SPIN_FLIP @ root.conj())
         squares[squares < _LAMBDA_SQ_FLOOR] = 0.0
         lambdas = np.sqrt(squares)

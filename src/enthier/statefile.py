@@ -140,7 +140,7 @@ def _parse_dims(document: dict, path, expected_rank: int) -> list[int]:
 
 
 def _entry_fields(entry, position: int, path) -> tuple:
-    """(i, j, re, im) of an amplitude entry, im 0.0 when omitted, or a
+    """The (i, j, amplitude) triple of an entry, im 0.0 when omitted, or a
     ParseError naming the first thing wrong with it."""
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: amplitudes[{position}] must be an object")
@@ -155,25 +155,23 @@ def _entry_fields(entry, position: int, path) -> tuple:
     for key in ("re", "im"):
         if key in entry and type(entry[key]) not in _NUMBER_TYPES:
             raise ParseError(f"{path}: amplitudes[{position}].{key} must be a number")
-    return entry["i"], entry["j"], entry["re"], entry.get("im", 0.0)
+    return entry["i"], entry["j"], complex(entry["re"], entry.get("im", 0.0))
 
 
-def _amplitude_entries(raw: list, path) -> tuple[tuple, tuple, np.ndarray]:
-    """Row and column indices and complex values of the entries, each entry
-    checked by exact type in one pass; the first bad one is refused."""
+def _amplitude_entries(raw: list, path) -> list[tuple[int, int, complex]]:
+    """The entries as a list of (i, j, amplitude) triples, each checked by
+    exact type in one pass, all before any index; the first bad one is refused."""
     entries = []
     for position, entry in enumerate(raw):
         try:  # the usual entry, exactly i, j, re and im, is read in one lookup
-            i, j, re, im = fields = _ENTRY_FIELDS(entry)
+            i, j, re, im = _ENTRY_FIELDS(entry)
             usual = len(entry) == 4 and type(i) is type(j) is int and type(re) in _NUMBER_TYPES
             usual = usual and type(im) in _NUMBER_TYPES
         except (KeyError, TypeError):  # not an object, or a field missing (im may be)
             usual = False
-        entries.append(fields if usual else _entry_fields(entry, position, path))
-    rows, cols, reals, imags = zip(*entries)
-    values = np.empty(len(rows), dtype=complex)
-    values.real, values.imag = reals, imags  # each part as float() converts it, -0.0 kept
-    return rows, cols, values
+        # complex() converts each part as float() does: -0.0 is kept, a huge int raises OverflowError
+        entries.append((i, j, complex(re, im)) if usual else _entry_fields(entry, position, path))
+    return entries
 
 
 def _state(document: dict, path, renormalize: bool) -> PureState:
@@ -190,8 +188,7 @@ def _state(document: dict, path, renormalize: bool) -> PureState:
         raw = document["amplitudes"]
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{path}: 'amplitudes' must be a non-empty list")
-        rows, cols, values = _amplitude_entries(raw, path)
-        return from_amplitudes(dims[0], dims[1], zip(rows, cols, values), renormalize)
+        return from_amplitudes(dims[0], dims[1], _amplitude_entries(raw, path), renormalize)
 
     raw = document["schmidt"]
     if not isinstance(raw, list) or not raw:

@@ -528,15 +528,18 @@ def test_wootters_validates_and_takes_the_lambdas_once_per_route(tmp_path, capsy
     rho = 0.9 * bell_projector() + 0.1 * np.eye(4) / 4.0
     path = write_json(tmp_path, "werner.json", density_doc(rho))
     counts = count_calls(monkeypatch, [(measures, "spin_flip_lambdas"), (linalg, "singular_values_squared")])
-    check, eigvalsh = measures.TwoQubitDensity.__post_init__, np.linalg.eigvalsh
+    check, eigvalsh, eigh = measures.TwoQubitDensity.__post_init__, np.linalg.eigvalsh, np.linalg.eigh
     monkeypatch.setattr(measures.TwoQubitDensity, "__post_init__", lambda self: counts.update(["check"]) or check(self))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counts.update(["eigvalsh"]) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.update(["eigh"]) or eigh(a))
     code, payload = run_json(capsys, ["wootters", path])
     assert code == 0
     assert abs(payload["results"]["concurrence"] - 0.85) <= 1e-9
-    # one check as the document is read: its eigvalsh is the positivity test, the other the partial transpose's
+    # one check as the document is read: its eigh is the positivity test and gives sqrt(rho);
+    # the one eigvalsh is the partial transpose's
     assert counts["check"] == 1
-    assert counts["eigvalsh"] == 2
+    assert counts["eigh"] == 1
+    assert counts["eigvalsh"] == 1
     # the concurrence fills the memo, the printed lambdas read it: one SVD
     assert counts["measures.spin_flip_lambdas"] == 2
     assert counts["linalg.singular_values_squared"] == 1
@@ -974,6 +977,28 @@ def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) != 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize(
+    "stdout, message",
+    [(None, "standard output is closed"), ("/dev/full", "[Errno 28] No space left on device")],
+    ids=["closed", "device-full"],
+)
+def test_unwritable_output_is_one_error_line(stdout, message):
+    # a closed stdout (`>&-`) is closed in the child; a full device fails the flush
+    if stdout is not None and not os.path.exists(stdout):
+        pytest.skip(f"no {stdout} on this system")
+    with open(stdout or os.devnull, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "enthier", "paper-examples"],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+            preexec_fn=None if stdout else lambda: os.close(1),
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: cannot write output: {message}"]
 
 
 def test_piped_input_digest_is_the_digest_of_the_parsed_bytes(tmp_path):

@@ -123,9 +123,13 @@ def test_singular_values_of_a_stack_keep_shape_and_checks():
     assert np.array_equal(squares[1, 0], singular_values_squared(stack[1, 0]))
     with pytest.raises(DimensionMismatch):
         singular_values_squared([0.5, 0.5])
+    with pytest.raises(DimensionMismatch):  # the minor route takes one 2-D matrix
+        minor_sum([0.5, 0.5])
     stack[1, 1, 0, 2] = np.inf
     with pytest.raises(NonFiniteInput):
         singular_values_squared(stack)
+    with pytest.raises(NonFiniteInput):
+        minor_sum(stack[1, 1])
 
 
 # ------------------------------------------------- elementary symmetric

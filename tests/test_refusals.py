@@ -1,10 +1,13 @@
 """Every refusal of a state or density document, pinned byte for byte.
 
 Each case runs one command through ``main`` on a document and compares the
-exit code and the whole of stderr with the pinned line. A document is
-refused for its first offence in reading order: a literal that is not
-finite in double precision wins over any structural or domain problem of
-the document that holds it, as when every literal is checked as it is read.
+exit code and the whole of stderr with the pinned line. The offences of
+the text come first, in reading order: a literal that is not finite in
+double precision wins over any structural or domain problem of the
+document that holds it, as when every literal is checked as it is read.
+Then the document is checked field by field: an unknown top-level field,
+then ``dims``, then each entry's types in turn, then indices and
+duplicates in input order, then the norm.
 """
 
 import os
@@ -177,6 +180,14 @@ CASES = [
         2,
         not_finite(LONG),
     ),
+    # the first entry's part overflows float() before a later entry's type is checked
+    (
+        "digits-400-re-before-bad-entry",
+        "measure",
+        '{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 0, "re": %s}, {"i": 1, "j": 1, "re": "x"}]}' % BIG,
+        2,
+        not_finite(LONG),
+    ),
     ("digits-400-schmidt", "measure --renormalize", '{"dims": [2, 2], "schmidt": [%s, 1]}' % BIG, 2, not_finite(LONG)),
     (
         "digits-5000-re",
@@ -233,6 +244,14 @@ CASES = [
         '{"dims": [2, 2], "amplitudes": [{"i": 5, "j": 0, "re": 1}, {"i": 0, "j": 0, "re": "x"}]}',
         2,
         "{path}: amplitudes[1].re must be a number",
+    ),
+    # every entry's types are checked before the first entry's index
+    (
+        "bad-entry-after-out-of-range-column",
+        "measure",
+        '{"dims": [2, 2], "amplitudes": [{"i": 0, "j": 7, "re": 1}, {"i": 0, "j": 0, "re": 1}, {"i": 1, "j": 1, "re": "x"}]}',
+        2,
+        "{path}: amplitudes[2].re must be a number",
     ),
     (
         "true-as-re",

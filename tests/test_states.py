@@ -18,6 +18,7 @@ from enthier.errors import (
 from enthier import measures, states
 from enthier.linalg import seeded_rng
 from enthier.measures import hierarchies, hierarchy
+from enthier.reference import x_family
 from enthier.states import (
     PureState,
     from_amplitudes,
@@ -131,6 +132,12 @@ def test_from_schmidt_rejections():
         from_schmidt([0.5, 0.5])
     with pytest.raises(ZeroState):
         from_schmidt([0.0, 0.0])
+    for coefficients in ([], [[0.6, 0.8]]):
+        with pytest.raises(DimensionMismatch):
+            from_schmidt(coefficients)
+    for x in (-0.1, 1.5):  # refused before a root of x/2 or 1 - x is taken
+        with pytest.raises(ValueError, match=re.escape(f"family parameter {x!r} outside [0, 1]")):
+            x_family(x)
     assert from_schmidt([0.5, 0.5], renormalize=True)
 
 
@@ -352,6 +359,9 @@ def test_apply_local_unitary_rejections():
 def test_random_pure_trivial_dimensions():
     state = random_pure(1, 1, seeded_rng(205))
     assert np.allclose(schmidt_spectrum(state), [1.0])
+    for dim_a, dim_b in ((0, 2), (2, -1)):
+        with pytest.raises(DimensionMismatch):
+            random_pure(dim_a, dim_b, seeded_rng(205))
 
 
 def test_random_pure_seed_replay():
