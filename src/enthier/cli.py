@@ -93,8 +93,8 @@ def _int_at_least(lowest: int):
 def _cmd_measure(args) -> tuple[ReportDocument, int]:
     state, digest = parse_state(args.state, renormalize=args.renormalize)
     spectrum = schmidt_spectrum(state)
-    # Each quantity once per call: the state memoizes its spectrum, hierarchy and
-    # power sums, so the routes and both two-level concurrences share them.
+    # Each quantity once per state: the state memoizes its spectrum, hierarchy, power
+    # sums and entropies, so the routes, both two-level concurrences and eof share them.
     renyi = {order: renyi_entropy(state, order) for order in args.renyi}
     results = {
         "dims": [state.dim_a, state.dim_b],
@@ -104,7 +104,7 @@ def _cmd_measure(args) -> tuple[ReportDocument, int]:
         "hierarchy": _HIERARCHY_PATHS[args.path](state).tolist(),
         "invariants": invariants(state).tolist(),
         "renyi": {str(order): value for order, value in renyi.items()},
-        "eof": renyi[1.0] if 1.0 in renyi else eof_pure(state),
+        "eof": eof_pure(state),
         "af_concurrence": af_concurrence(state),
         "rungta_concurrence": rungta_concurrence(state),
     }
@@ -212,8 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and version text that cannot be written raise, as report output
+    does, where argparse would drop the error or fall back to stderr."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:  # None when closed, as argparse then passes
+            return _write_output(message, end="")
+        super()._print_message(message, file)
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="enthier",
         description="Concurrence hierarchies, Schmidt spectra, and LOCC convertibility.",
     )
@@ -314,6 +324,22 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     return parser.parse_args(argv)
 
 
+def _write_output(text: str, end: str = "\n") -> None:
+    if sys.stdout is None:  # closed at start, as by `>&-`
+        raise OSError("standard output is closed")
+    print(text, end=end)
+    sys.stdout.flush()
+
+
+def _unwritable_output(exc: OSError) -> int:
+    # A reader that closed stdout early (say, `| head`) is silent. Point
+    # fd 1 at devnull so the interpreter's flush at exit cannot fail again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -321,6 +347,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else 2
+    except OSError as exc:  # help or version text
+        return _unwritable_output(exc)
     try:
         output, exit_code = args.handler(args)
     except EnthierError as exc:
@@ -332,17 +360,9 @@ def main(argv=None) -> int:
     if isinstance(output, ReportDocument):
         output = output.to_json() if args.json else output.render()
     try:
-        if sys.stdout is None:  # closed at start, as by `>&-`
-            raise OSError("standard output is closed")
-        print(output)
-        sys.stdout.flush()
+        _write_output(output)
     except OSError as exc:
-        # A reader that closed stdout early (say, `| head`) is silent. Point
-        # fd 1 at devnull so the interpreter's flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return _unwritable_output(exc)
     return exit_code
 
 

@@ -16,8 +16,9 @@ numerics, so each cross-checks the others:
   NEWTON_DIM_LIMIT.
 
 Every measure of a pure state takes the state alone: the spectrum, the
-levels and the power sums are memoized on it, read-only, so the routes
-and both two-level concurrences share them without being handed them.
+levels and the power sums are memoized on it, read-only, and the Renyi
+entropies by order, so the routes, both two-level concurrences and
+``eof_pure`` share them without being handed them.
 """
 
 from __future__ import annotations
@@ -170,9 +171,19 @@ def renyi_entropy(state: PureState, order: float) -> float:
     log1p of same-signed expm1 terms, which does not cancel as 1/|1-order|;
     elsewhere the sum is over lambda / lambda_max, so it cannot underflow.
     Rounding past either end of the range is clamped to it.
+
+    The order is taken as ``float(order)``, and each entropy is memoized on
+    the state under that key, so a repeated (state, order) pair returns the
+    same float. An order that is not positive, ``nan`` included, raises
+    every call and is never memoized.
     """
     if not order > 0:
         raise NonPositiveOrder(f"order must be positive, got {order}")
+    order = float(order)  # the memo's key; an int, numpy scalar or 0-d array order gives these bits
+    if state._entropies is None:
+        object.__setattr__(state, "_entropies", {})
+    elif order in state._entropies:
+        return state._entropies[order]
     lam = schmidt_spectrum(state)
     ceiling = math.log2(lam.size)  # the value on a maximally entangled state
     lam = lam[lam > 0.0]
@@ -188,7 +199,8 @@ def renyi_entropy(state: PureState, order: float) -> float:
         top = lam[0]
         scaled_sum = np.sum((lam / top) ** order)
         value = order / (1.0 - order) * np.log2(top) + np.log2(scaled_sum) / (1.0 - order)
-    return min(ceiling, max(0.0, float(value)))  # a product state gives -0.0
+    value = state._entropies[order] = min(ceiling, max(0.0, float(value)))  # a product state gives -0.0
+    return value
 
 
 def eof_pure(state: PureState) -> float:

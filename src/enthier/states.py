@@ -1,10 +1,11 @@
 """Bipartite pure states as unit-norm complex amplitude matrices.
 
-A ``PureState`` carries three read-only memos, each filled on first use:
-``_spectrum`` by ``schmidt_spectra``, and ``_levels`` and ``_power_sums``
-by ``measures.hierarchies`` and ``measures.invariants``. Every measure of a
-state is a function of the state alone, and the memos make a repeated
-call cost a lookup.
+A ``PureState`` carries four memos, each filled on first use: the
+read-only arrays ``_spectrum``, by ``schmidt_spectra``, and ``_levels`` and
+``_power_sums``, by ``measures.hierarchies`` and ``measures.invariants``,
+and ``_entropies``, a dict from order to entropy filled by
+``measures.renyi_entropy``. Every measure of a state is a function of the
+state alone, and the memos make a repeated call cost a lookup.
 """
 
 from __future__ import annotations
@@ -77,13 +78,15 @@ class PureState:
     Row index addresses the first subsystem, column index the second, so
     entry (i, j) is the amplitude on the product basis vector |ij>. Instances
     are immutable and compare by identity; ``PureState(a)`` copies ``a`` and
-    checks its unit norm.
+    checks its unit norm. The memos start empty; the entropies' dict is made
+    on the first ``renyi_entropy`` call that passes its order check.
     """
 
     amplitudes: np.ndarray
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
     _levels: np.ndarray | None = field(default=None, init=False, repr=False)
     _power_sums: np.ndarray | None = field(default=None, init=False, repr=False)
+    _entropies: dict[float, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex)
@@ -104,7 +107,7 @@ class PureState:
         a.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "amplitudes", a)
-        return state  # its _spectrum, _levels and _power_sums are the class defaults, None
+        return state  # its memos are the class defaults, None
 
     @property
     def dim_a(self) -> int:

@@ -289,14 +289,22 @@ def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, 
     # formed once however many measures look it up: one SVD, one e_k pass and
     # one Gram power pass, the last counted as the calls that find no memo
     gram_passes = []
+    entropy_passes = []
     original = measures.invariants
+    original_entropy = measures.renyi_entropy
 
     def invariants(state):
         gram_passes.append(state._power_sums is None)
         return original(state)
 
+    def renyi_entropy(state, order):
+        entropy_passes.append(float(order) not in (state._entropies or {}))
+        return original_entropy(state, order)
+
     monkeypatch.setattr(measures, "invariants", invariants)
     monkeypatch.setattr(cli, "invariants", invariants)
+    monkeypatch.setattr(measures, "renyi_entropy", renyi_entropy)  # eof_pure's lookup
+    monkeypatch.setattr(cli, "renyi_entropy", renyi_entropy)
     names = {"hierarchy", "invariants", route_function}  # eig's route function is hierarchy itself
     counts = count_calls(
         monkeypatch,
@@ -317,6 +325,13 @@ def test_measure_takes_each_quantity_once(tmp_path, capsys, monkeypatch, route, 
     assert counts["measures.invariants"] == 1 + (route == "newton")
     assert counts[f"measures.{route_function}"] == (3 if route == "eig" else 1)
     assert counts["statefile.parse_state"] == 1
+    # one entropy per listed order, and eof finds the order-1 one
+    assert entropy_passes == [True, True, True, False]
+    # the next route on the same document gets the same state, its entropies memoized
+    routes = ["eig", "minors", "newton"]
+    next_route = routes[(routes.index(route) + 1) % 3]
+    assert main(["measure", str(path), "--path", next_route, "--json"]) == 0
+    assert entropy_passes[4:] == [False] * 4
 
 
 HAAR_5X8 = str(SNAPSHOTS / "state_haar_5x8.json")
@@ -980,17 +995,28 @@ def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stdout, message",
-    [(None, "standard output is closed"), ("/dev/full", "[Errno 28] No space left on device")],
-    ids=["closed", "device-full"],
+    "argv, stdout, message",
+    [
+        pytest.param(argv, stdout, message, id="-".join([*prefix, sink]))
+        for argv, prefix in [
+            (["paper-examples"], []),  # report output, its ids the bare sink
+            (["--help"], ["help"]),  # help and version text, which argparse writes
+            (["--version"], ["version"]),
+            (["scan", "--help"], ["scan-help"]),
+        ]
+        for stdout, message, sink in [
+            (None, "standard output is closed", "closed"),
+            ("/dev/full", "[Errno 28] No space left on device", "device-full"),
+        ]
+    ],
 )
-def test_unwritable_output_is_one_error_line(stdout, message):
+def test_unwritable_output_is_one_error_line(argv, stdout, message):
     # a closed stdout (`>&-`) is closed in the child; a full device fails the flush
     if stdout is not None and not os.path.exists(stdout):
         pytest.skip(f"no {stdout} on this system")
     with open(stdout or os.devnull, "wb") as sink:
         proc = subprocess.run(
-            [sys.executable, "-m", "enthier", "paper-examples"],
+            [sys.executable, "-m", "enthier", *argv],
             stdout=sink,
             stderr=subprocess.PIPE,
             text=True,

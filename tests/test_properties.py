@@ -706,6 +706,18 @@ def test_two_level_concurrences_and_entropies_stay_in_their_ranges(state):
     if np.ptp(spectrum) <= EPS:  # a flat spectrum: maximally entangled
         for name, value in values.items():
             assert math.isclose(value, tops[name], rel_tol=1e-12), name
+    # entropies are memoized by order: a second lookup, under any spelling of the
+    # order, is the first float, which has the bits of a fresh state's
+    fresh = PureState(state.amplitudes)
+    for order in (*orders, 1.0 + 1e-8, 1.0 - 1e-8):
+        value = renyi_entropy(state, order)
+        assert renyi_entropy(state, order) is value
+        assert renyi_entropy(state, np.float64(order)) is value
+        assert renyi_entropy(state, np.array(order)) is value
+        assert struct.pack("<d", renyi_entropy(fresh, np.array(order))) == struct.pack("<d", value)
+    for order in (1, 2, 3):
+        assert renyi_entropy(state, order) is renyi_entropy(state, float(order))
+    assert eof_pure(state) is renyi_entropy(state, 1.0)
 
 
 def numpy_normalized(values, renormalize, what):
