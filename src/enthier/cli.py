@@ -203,8 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing never writes to the parser, and no handler writes to the parsed
     defaults; beyond the parser, calls share only ``statefile``'s immutable
     last document, keyed by its bytes and arguments, so calls in one process
-    stay independent. ``main`` gives a call that names its subcommand first
-    straight to that subcommand's parser, and every other call to this one.
+    stay independent. ``main`` reads a plainly spelled call that names its
+    subcommand first from that subcommand's own actions, gives any other
+    call that names it first to that subcommand's parser, and all else to
+    this one.
     """
     global _PARSER
     if _PARSER is None:
@@ -214,7 +216,57 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _Parser(argparse.ArgumentParser):
     """Help and version text that cannot be written raise, as report output
-    does, where argparse would drop the error or fall back to stderr."""
+    does, where argparse would drop the error or fall back to stderr. Each
+    parser keeps the actions its own ``add_argument`` made (not a group's)
+    for ``parse_plain``."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments, self.options = [], {}  # every action; option string -> store(_true) action
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        if kwargs.get("action", "store") in ("store", "store_true"):
+            self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def parse_plain(self, words, namespace):
+        """``parse_args(words, namespace)`` for a plainly spelled list, else None:
+        each word a positional, not starting ``-``, or one of this parser's
+        option strings exactly, once, its value the next word, not starting
+        ``-``; every value passes its type and choices, every positional given."""
+        given = {}
+        positionals = (action for action in self.arguments if not action.option_strings)
+        words = iter(words)
+        for word in words:
+            if word.startswith("-"):
+                action = self.options.get(word)
+                if action is None or action in given:
+                    return None
+                if action.nargs == 0:
+                    given[action] = action.const
+                    continue
+                word = next(words, "-")  # none left reads as "-", refused below
+            else:
+                action = next(positionals, None)
+            if action is None or action.nargs is not None or word.startswith("-"):
+                return None
+            try:
+                given[action] = word if action.type is None else action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and given[action] not in action.choices:
+                return None
+        for action in self.arguments:  # defaults first, as argparse sets them
+            if action not in given and (action.required or isinstance(action.default, str) and action.type):
+                return None  # argparse refuses it, or converts the default
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                vars(namespace).setdefault(action.dest, action.default)
+        namespace.handler = self.get_default("handler")
+        for action, value in given.items():
+            setattr(namespace, action.dest, value)
+        return namespace
 
     def _print_message(self, message, file=None):
         if file is sys.stdout:  # None when closed, as argparse then passes
@@ -307,20 +359,26 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, in one argparse pass where it can be.
+    """``parser.parse_args(argv)``, in as few argparse passes as it can be.
 
     When argv names its subcommand first, the top-level pass only hands the
-    rest to that subcommand's ``parse_known_args`` and refuses what it leaves
-    over, so that call alone gives the same namespace or usage error. All
-    else takes the full parse and its messages: leftovers, any other first
-    word, and an argument starting ``--=``, which the top-level pass refuses
-    as ambiguous between ``--help`` and ``--version``.
+    rest to that subcommand's parser. A plainly spelled rest is read from
+    that parser's actions (``_Parser.parse_plain``), without argparse; any
+    other goes to its ``parse_known_args``, which alone gives the same
+    namespace or usage error when it leaves nothing over. All else takes
+    the full parse and its messages: leftovers, any other first word, and
+    an argument starting ``--=``, which the top-level pass refuses as
+    ambiguous between ``--help`` and ``--version``.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
+    if command is not None:
+        args = command.parse_plain(argv[1:], argparse.Namespace(command=argv[0]))
+        if args is not None:
             return args
+        if not any(arg.startswith("--=") for arg in argv):
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not extras:
+                return args
     return parser.parse_args(argv)
 
 

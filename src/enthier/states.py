@@ -206,7 +206,7 @@ def schmidt_spectrum(state: PureState) -> np.ndarray:
 def schmidt_rank(spectrum) -> int:
     """Number of spectrum values lambda = c^2 above RANK_TOL (1e-10), which
     is the number of Schmidt coefficients c above 1e-5."""
-    return int(np.sum(np.asarray(spectrum, dtype=float) > RANK_TOL))
+    return int(np.count_nonzero(np.asarray(spectrum, dtype=float) > RANK_TOL))
 
 
 def random_pure(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:

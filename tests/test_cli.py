@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enthier
 from enthier import cli, linalg, locc, measures, statefile, states
@@ -1075,6 +1079,7 @@ def corpus(tmp_path):
     """Argument lists that name their command first, and ones that do not."""
     state = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
     density = write_json(tmp_path, "rho.json", density_doc(bell_projector()))
+    out = str(tmp_path / "out.json")
     commands = [
         ["measure", state],
         ["locc", state, state],
@@ -1122,6 +1127,19 @@ def corpus(tmp_path):
         ["schmidt", state, "--json", "--json"],
         ["measure", state, "--=x"],  # ambiguous at the top level: --help or --version
         ["scan", "--=1"],
+        ["measure", state, "--path"],
+        ["measure", state, "--path", "eig", "--path", "minors"],  # the last one given wins
+        ["scan", "--dims", "3", "--dims", "4", "--samples", "2"],
+        ["measure", state, "--renyi", "-1"],
+        ["measure", state, "--path", "EIG"],
+        ["schmidt", "-"],
+        ["schmidt", ""],
+        ["schmidt", "-5"],
+        ["measure", "--json", state],
+        ["locc", "--renormalize", state, state, "--json"],
+        ["emit-state", state, "-o", out],
+        ["emit-state", state, "-oout"],
+        ["scan", "--samples", "0"],
     ]
 
 
@@ -1159,6 +1177,97 @@ def test_dispatch_skips_the_top_level_pass_for_a_named_command(capsys, monkeypat
     assert len(parsed) > 15
     for argv, args in parsed.items():
         assert cli._parse_args(parser, list(argv)) == args
+
+
+# every command with its options, as its usage line spells them
+OPTIONS = {
+    "measure": ["--path", "--renyi", "--renormalize", "--json"],
+    "locc": ["--renormalize", "--json"],
+    "wootters": ["--json"],
+    "schmidt": ["--renormalize", "--json"],
+    "scan": ["--dims", "--samples", "--seed", "--json"],
+    "paper-examples": ["--json"],
+    "emit-state": ["-o", "--output", "--renormalize"],
+}
+VALUES = [*sorted(cli._HIERARCHY_PATHS), "EIG", "0", "-1", "nan", "inf", "1,2", "3", "psi.json", "out.json"]
+ARGV_WORDS = [
+    *OPTIONS, "frobnicate", *sorted(set().union(*OPTIONS.values())), *VALUES,
+    "--pa", "--ren", "--renorm", "--js", "--d", "--sam", "--out", "--vers",  # prefixes
+    "--path=minors", "--renyi=2", "--json=1", "--dims=3", "--seed=-1", "--output=out.json", "-oout.json", "--=x",
+    "--", "-", "-h", "--help", "--version",
+]
+
+
+def test_plainly_spelled_commands_parse_without_argparse(tmp_path, monkeypatch):
+    # every option of every command given once, spelled exactly, never reaches argparse
+    state = write_json(tmp_path, "psi.json", MIXED_SOURCE_DOC)
+    density = write_json(tmp_path, "rho.json", density_doc(bell_projector()))
+    out = str(tmp_path / "out.json")
+    plain = [
+        ["measure", state, "--path", "newton", "--renyi", "3,inf", "--renormalize", "--json"],
+        ["measure", "--json", state],
+        ["locc", "--renormalize", state, "--json", state],
+        ["wootters", density, "--json"],
+        ["schmidt", state, "--renormalize", "--json"],
+        ["scan", "--dims", "4", "--samples", "2", "--seed", "7", "--json"],
+        ["scan"],
+        ["paper-examples", "--json"],
+        ["emit-state", state, "-o", out, "--renormalize"],
+        ["emit-state", "--output", out, state],
+    ]
+    parser = build_parser()
+    expected = [parser.parse_args(argv) for argv in plain]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse pass")
+
+    for each in [parser, *cli._COMMANDS.values()]:
+        monkeypatch.setattr(each, "parse_args", refused)
+        monkeypatch.setattr(each, "parse_known_args", refused)
+    for argv, args in zip(plain, expected):
+        assert cli._parse_args(parser, list(argv)) == args, argv
+    assert {argv[0] for argv in plain} == set(cli._COMMANDS) == set(OPTIONS)
+    assert {word for argv in plain for word in argv if word.startswith("-")} == {
+        option for command in cli._COMMANDS.values() for option in command.options
+    }
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    argv=st.one_of(
+        st.lists(st.sampled_from(ARGV_WORDS), max_size=6),
+        st.tuples(st.sampled_from(list(OPTIONS)), st.lists(st.sampled_from(ARGV_WORDS), max_size=6)).map(
+            lambda drawn: [drawn[0], *drawn[1]]
+        ),
+        # the command's own options, each alone or with a value, and values, so that
+        # many lists are plainly spelled
+        st.sampled_from(list(OPTIONS)).flatmap(
+            lambda command: st.lists(
+                st.one_of(
+                    st.tuples(st.sampled_from(VALUES)),
+                    st.tuples(st.sampled_from(OPTIONS[command])),
+                    st.tuples(st.sampled_from(OPTIONS[command]), st.sampled_from(VALUES)),
+                ),
+                max_size=4,
+                unique_by=lambda piece: piece[0],
+            ).map(lambda pieces: [command, *(word for piece in pieces for word in piece)])
+        ),
+    )
+)
+def test_dispatch_parses_drawn_argv_as_the_full_parser(argv):
+    # capsys is function-scoped, which hypothesis refuses, so the output is captured here
+    parser = build_parser()
+
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = ("namespace", vars(parse(list(argv))))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    assert outcome(lambda argv: cli._parse_args(parser, argv)) == outcome(parser.parse_args)
 
 
 def test_usage_error_leaves_the_next_scan_unchanged(capsys, corpus):
