@@ -204,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults; beyond the parser, calls share only ``statefile``'s immutable
     last document, keyed by its bytes and arguments, so calls in one process
     stay independent. ``main`` reads a plainly spelled call that names its
-    subcommand first from that subcommand's own actions, gives any other
-    call that names it first to that subcommand's parser, and all else to
-    this one.
+    subcommand first from that subcommand's own actions, and gives all else
+    to this one.
     """
     global _PARSER
     if _PARSER is None:
@@ -359,26 +358,15 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, in as few argparse passes as it can be.
-
-    When argv names its subcommand first, the top-level pass only hands the
-    rest to that subcommand's parser. A plainly spelled rest is read from
-    that parser's actions (``_Parser.parse_plain``), without argparse; any
-    other goes to its ``parse_known_args``, which alone gives the same
-    namespace or usage error when it leaves nothing over. All else takes
-    the full parse and its messages: leftovers, any other first word, and
-    an argument starting ``--=``, which the top-level pass refuses as
-    ambiguous between ``--help`` and ``--version``.
+    """``parser.parse_args(argv)``: read from the subcommand's own actions
+    (``_Parser.parse_plain``) when argv names it first and spells the rest
+    plainly, else the full parse, with its namespace or usage error.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is not None:
         args = command.parse_plain(argv[1:], argparse.Namespace(command=argv[0]))
         if args is not None:
             return args
-        if not any(arg.startswith("--=") for arg in argv):
-            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if not extras:
-                return args
     return parser.parse_args(argv)
 
 

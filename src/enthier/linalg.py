@@ -8,7 +8,8 @@ amplitudes (``singular_values_squared``, LAPACK gesdd through ``svd``),
 the minor route on a bidiagonal form (``minor_sum``, BLAS-level steps),
 and the Newton route on powers and traces of the Gram matrix (BLAS), which
 no other route forms. Only the e_k recurrence, the Householder
-bidiagonalization and the path-matching recurrence are written out here.
+bidiagonalization and the path-matching recurrence are written out here
+for the cross-checks, and numpy's SeedSequence hash for scan's speed.
 
 The SVD kernel and the e_k recurrence each take a stack in one call, a
 matrix or a spectrum per row, and a single input is a stack of one.
@@ -18,7 +19,9 @@ entries, from one SVD call and their levels from one e_k pass, and
 
 Sample i of a scan seeded with s draws from ``seeded_rng((s, i))``;
 ``seeded_streams`` gives those streams for a range of i, bit for bit, from
-numpy's SeedSequence hash written out here over the whole range at once.
+that hash run over the whole range at once; it buys speed, not
+independence, and ``test_scan_stream_words_are_seed_sequence_words`` pins
+its words to numpy's.
 """
 
 from __future__ import annotations

@@ -31,19 +31,17 @@ _last_built: tuple = (None, None)  # ((build, args, SHA-256 of the bytes), objec
 
 
 def _json_object(text: str, path, strict: bool = False) -> dict:
-    """The JSON object in ``text``, refusing a field named twice. The C
-    scanner converts numbers itself, unless ``strict``, when every literal
-    is checked as it is read and the first one that is not finite in double
-    precision is refused.
-
-    Without ``strict`` the C scanner alone builds every object, with no
-    Python call per object, and so would keep the last value of a field
-    named twice. Every field name in the text is a string between two of
-    its quotes, so when the text holds exactly two quotes per field of the
-    objects ``_field_count`` counts, no object anywhere names a field twice:
-    a repeat, a field of any other object and any string value each add
-    quotes the count does not hold. Otherwise the text is parsed again with
-    a hook that refuses a repeated field, as ``strict`` parses always do.
+    """The JSON object in ``text``, refusing a field named twice, in one of
+    two parses. The fast one has the C scanner alone build every object and
+    convert every number, with no Python call per object, and so would keep
+    the last value of a field named twice. Every field name in the text is a
+    string between two of its quotes, so when the text holds exactly two
+    quotes per field of the objects ``_field_count`` counts, no object
+    anywhere names a field twice: a repeat, a field of any other object and
+    any string value each add quotes the count does not hold. Otherwise, or
+    when ``strict``, the text is parsed strictly: a hook refuses a repeated
+    field, and every literal is checked as it is read, the first one that is
+    not finite in double precision refused.
     """
 
     def finite(literal: str) -> float:
@@ -75,12 +73,11 @@ def _json_object(text: str, path, strict: bool = False) -> dict:
             raise ParseError(f"{path}: top level must be an object")
         return document
 
-    if strict:
-        return load(object_pairs_hook=unique, parse_float=finite, parse_int=integer)
-    document = load()
-    if text.count('"') == 2 * _field_count(document):
-        return document
-    return load(object_pairs_hook=unique)
+    if not strict:
+        document = load()
+        if text.count('"') == 2 * _field_count(document):
+            return document
+    return load(object_pairs_hook=unique, parse_float=finite, parse_int=integer)
 
 
 def _field_count(document: dict) -> int:

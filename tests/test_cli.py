@@ -982,19 +982,23 @@ def test_module_entry_point_smoke():
 
 
 def test_emit_state_closed_pipe_exits_without_traceback(tmp_path):
-    path = tmp_path / "big.json"
-    write_state(random_pure(40, 40, seeded_rng(5)), path)  # ~180 kB, beyond a pipe buffer
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "enthier", "emit-state", str(path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=child_env(),
-    )
-    assert proc.stdout.readline().strip() == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) != 0
+    path = tmp_path / "state.json"
+    write_state(random_pure(3, 3, seeded_rng(5)), path)
+    # a pipe whose read end is closed before the child starts fails its first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "enthier", "emit-state", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
@@ -1157,26 +1161,6 @@ def test_dispatch_parses_as_the_full_parser(capsys, corpus):
     for argv in corpus:
         full = parse_outcome(capsys, parser.parse_args, argv)
         assert parse_outcome(capsys, lambda argv: cli._parse_args(parser, argv), argv) == full, argv
-
-
-def test_dispatch_skips_the_top_level_pass_for_a_named_command(capsys, monkeypatch, corpus):
-    parser = build_parser()
-    parsed = {}
-    for argv in corpus:
-        try:
-            parsed[tuple(argv)] = parser.parse_args(argv)
-        except SystemExit:
-            pass
-    capsys.readouterr()
-
-    def refused(*args, **kwargs):
-        raise AssertionError("top-level parse")
-
-    monkeypatch.setattr(parser, "parse_args", refused)
-    monkeypatch.setattr(parser, "parse_known_args", refused)
-    assert len(parsed) > 15
-    for argv, args in parsed.items():
-        assert cli._parse_args(parser, list(argv)) == args
 
 
 # every command with its options, as its usage line spells them

@@ -16,7 +16,7 @@ from enthier.errors import (
     ZeroState,
 )
 from enthier import measures, states
-from enthier.linalg import seeded_rng
+from enthier.linalg import seeded_rng, seeded_streams
 from enthier.measures import hierarchies, hierarchy
 from enthier.reference import x_family
 from enthier.states import (
@@ -389,6 +389,47 @@ def test_random_pure_mean_two_level_concurrence_bounded():
     rng = seeded_rng(207)
     mean_c2 = np.mean([hierarchy(random_pure(3, 3, rng))[1] for _ in range(1000)])
     assert 0.0 < mean_c2 < 1.0 / 3.0  # e_2 peaks at the uniform spectrum
+
+
+# Sizes and seed fixed before any result was seen. Levels 2..d and the
+# entropy at each d make 71 checks; |z| <= 4.5 bounds them all (Bonferroni).
+HAAR_SIZES = [(3, 40000), (8, 10000), (12, 4000), (48, 400)]
+
+
+def haar_law_z_scores(draw) -> dict:
+    """z of the mean of each level C_k, k >= 2, against the Haar mean
+    C(d,k) d!/(d-k)! (d^2-1)!/(d^2+k-1)!, and of the mean entropy (nats)
+    against Page's formula, keyed by (d, name), for d x d states drawn by
+    ``draw(d, d, rng)`` as scan draws them: two per stream of seed 0."""
+    scores = {}
+    for d, count in HAAR_SIZES:
+        drawn = [draw(d, d, rng) for rng in seeded_streams(0, 0, count // 2) for _ in (0, 1)]
+        levels, spectra = hierarchies(drawn), schmidt_spectra(drawn)
+        samples, expected = {}, {}
+        for k in range(2, d + 1):
+            samples[f"C{k}"] = levels[:, k - 1]
+            expected[f"C{k}"] = math.comb(d, k) * math.perm(d, k) / math.perm(d * d + k - 1, k)
+        logs = np.log(spectra, where=spectra > 0, out=np.zeros_like(spectra))
+        samples["entropy"] = -(spectra * logs).sum(axis=1)
+        expected["entropy"] = sum(1 / j for j in range(d + 1, d * d + 1)) - (d - 1) / (2 * d)
+        for name, values in samples.items():
+            scores[d, name] = (values.mean() - expected[name]) / (values.std(ddof=1) / math.sqrt(values.size))
+    return scores
+
+
+def test_scan_sampler_follows_the_haar_law():
+    scores = haar_law_z_scores(random_pure)
+    assert len(scores) == 71
+    worst = max(scores, key=lambda key: abs(scores[key]))
+    assert abs(scores[worst]) <= 4.5, (worst, scores[worst])
+
+
+def test_haar_law_check_refuses_a_real_gaussian_sampler():
+    def real_gaussian(dim_a, dim_b, rng):
+        draws = rng.standard_normal((dim_a, dim_b))
+        return PureState(draws / np.linalg.norm(draws))
+
+    assert max(abs(z) for z in haar_law_z_scores(real_gaussian).values()) > 4.5
 
 
 def test_schmidt_rank_counts():
